@@ -16,7 +16,7 @@ from .errors import (
     InvalidParameterError,
     NoConvergenceError,
     NoSingularPointError,
-    NotOneCutRegularError,
+    RmtlabError,
     WrongOrderError,
 )
 from .potential import Potential
@@ -217,17 +217,18 @@ def find_xstar_nt(
     For t <= 1 (no mass deficit) this is the unit-mass point itself. For
     t > 1 the deficient band must stay clear of x*; if it does not (the
     reduced-mass one-cut realization breaks down, which happens whenever
-    the deficit undershoots the nucleating mass), strict mode raises and
-    non-strict mode falls back to x* with a warning.
+    the deficit undershoots the nucleating mass), strict mode raises
+    NoConvergenceError and non-strict mode falls back to x* with a warning;
+    any RmtlabError of the reduced-mass solve counts as such a breakdown.
     """
     x_star = detect_singular(potential)
     if t <= 1.0 or m <= 0.0:
         return x_star
     try:
         eq = solve_cached(potential, t, 1.0 - m)
-    except NotOneCutRegularError as exc:
+    except RmtlabError as exc:
         msg = (
-            f"reduced-mass band at t={t:.6f} is not one-cut regular ({exc}); "
+            f"reduced-mass band at t={t:.6f} has no one-cut solve ({exc}); "
             "the deficit undershoots the nucleating mass at this scale"
         )
         if strict:

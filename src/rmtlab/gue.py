@@ -13,7 +13,7 @@ from math import factorial
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidParameterError, OffAxisRequiredError
+from .errors import InvalidParameterError, OffAxisRequiredError, PrecisionLimitError
 
 _DIAG_SWITCH = 1e-8
 
@@ -81,7 +81,8 @@ def gue_kernel_grid(k: int, grid: np.ndarray) -> np.ndarray:
     return kk * gauss
 
 
-_FAR_FIELD_RADIUS = 30.0
+_FAR_FIELD_RADIUS = 10.0
+_EXP_MAX = float(np.log(np.finfo(float).max))
 _GL = leggauss(40)
 
 
@@ -155,13 +156,19 @@ def psi_matrix(zeta: complex, k: int) -> PsiMatrix:
 
     Row one holds the monic H_k and its scaled Cauchy transform, row two
     the weighted H_{k-1} pair; the columns carry exp(-zeta^2/2) and
-    exp(+zeta^2/2) respectively.
+    exp(+zeta^2/2) respectively. Where |Re zeta^2| / 2 exceeds the double
+    exponent range (about 709.78) one of them overflows, and the matrix
+    raises PrecisionLimitError.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be a positive integer, got {k}")
     zeta = complex(zeta)
     if zeta.imag == 0.0:
         raise OffAxisRequiredError("the model matrix needs Im(zeta) != 0")
+    if abs((zeta * zeta).real) / 2.0 > _EXP_MAX:
+        raise PrecisionLimitError(
+            f"exp(+-zeta^2/2) leaves the double range at zeta = {zeta}"
+        )
     inv_kappa_k = np.pi**0.25 * np.sqrt(factorial(k)) / 2 ** (k / 2.0)
     kappa_km1 = 2 ** ((k - 1) / 2.0) / (np.pi**0.25 * np.sqrt(factorial(k - 1)))
     e_minus = np.exp(-zeta * zeta / 2.0)

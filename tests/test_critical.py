@@ -178,6 +178,17 @@ def test_nonpositive_s_reuses_unit_mass_solve(eynard3_pot):
     assert eq_direct.h_coeffs == eq_again.h_coeffs
 
 
+@pytest.mark.parametrize("n", [240, 300])
+def test_make_scaling_survives_reduced_mass_no_convergence(eynard3_pot, n):
+    # the reduced-mass endpoint Newton does not converge here; the kernel
+    # does not need x_star_nt, so non-strict mode falls back to x*
+    with pytest.warns(UserWarning):
+        params = make_scaling(eynard3_pot, n, 1.0)
+    assert params.x_star_nt == params.x_star
+    with pytest.raises(NoConvergenceError):
+        find_xstar_nt(eynard3_pot, n, params.t, params.m, strict=True)
+
+
 def test_phix_growth_check_rejects_nonpositive_s(eynard3_pot):
     with pytest.raises(InvalidParameterError):
         phix_growth_check(eynard3_pot, 0.0, [40])

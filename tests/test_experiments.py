@@ -167,17 +167,24 @@ def test_sweep_decay_exponents(eynard3_pot):
 
 
 def test_sweep_survives_row_failure(eynard3_pot):
-    rows = convergence_sweep(eynard3_pot, [40, 320], [1.0], GRID)
+    # n = 1 has no s <-> t map (log n = 0), so that row fails on purpose
+    rows = convergence_sweep(eynard3_pot, [40, 1], [1.0], GRID)
     assert len(rows) == 2
     good, bad = rows
     assert np.isfinite(good.sup_error)
-    assert np.isnan(bad.sup_error) and bad.n == 320
+    assert np.isnan(bad.sup_error) and bad.n == 1 and bad.k == -1
 
 
-def test_large_n_leaves_quadrature_window(eynard3_pot):
-    # at this n the weight near the gap point is below double resolution
+def test_large_n_grids_inside_window(eynard3_pot):
+    for n in (320, 2560):
+        values = rescaled_kernel(eynard3_pot, n, 1.0, GRID)
+        assert np.isfinite(values).all()
+        assert np.abs(values - values.T).max() <= 1e-10 * np.abs(values).max()
+        eigs = np.linalg.eigvalsh(values)
+        assert eigs.min() >= -1e-9 * eigs.max()
+    # a grid far outside the window still meets the precision limit
     with pytest.raises(PrecisionLimitError):
-        rescaled_kernel(eynard3_pot, 320, 1.0, GRID)
+        rescaled_kernel(eynard3_pot, 40, 1.0, GridSpec(-400.0, 400.0, 20.0))
 
 
 def test_grid_adequacy(eynard3_pot):

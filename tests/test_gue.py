@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from rmtlab import (
     InvalidParameterError,
     OffAxisRequiredError,
+    PrecisionLimitError,
     gue_kernel,
     gue_kernel_grid,
     gue_kernel_sum,
@@ -142,6 +143,18 @@ def test_cauchy_route_consistency():
         assert abs(series - direct) < 1e-9
 
 
+def test_cauchy_route_consistency_at_switch():
+    # just beyond the far-field radius the series and the quadrature agree
+    from rmtlab.gue import _cauchy_quadrature
+
+    for angle in (0.05, 0.8, np.pi / 2, 2.5, -1.2):
+        z = 10.5 * np.exp(1j * angle)
+        for k in range(6):
+            series = hermite_cauchy(k, z)
+            direct = _cauchy_quadrature(k, z)
+            assert abs(series - direct) <= 1e-9 * abs(direct)
+
+
 def test_cauchy_requires_off_axis():
     with pytest.raises(OffAxisRequiredError):
         hermite_cauchy(1, 2.0)
@@ -149,9 +162,17 @@ def test_cauchy_requires_off_axis():
 
 def test_psi_unimodular():
     samples = [2j, -1.5j, 1 + 1j, -2 + 0.5j, 0.3 + 0.2j, 3 - 1j, 0.05j, 5 + 5j, -4 - 2j, 0.7 + 3j]
-    for k in (1, 2, 3):
+    samples += [20j, 25j, 29j, 3 + 22j]  # beyond the far-field switch
+    for k in (1, 2, 3, 4):
         for z in samples:
             assert abs(psi_matrix(z, k).det - 1.0) < 1e-8
+
+
+def test_psi_out_of_exponent_range():
+    # |Re zeta^2| / 2 = 800 at 40i: exp(zeta^2 / 2) has no double value
+    with pytest.raises(PrecisionLimitError):
+        psi_matrix(40j, 1)
+    assert abs(psi_matrix(37j, 1).det - 1.0) < 1e-8
 
 
 def test_psi_entry_11_odd():

@@ -1,18 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.legendre import leggauss
 
 from rmtlab import (
     InvalidParameterError,
     Potential,
-    PrecisionLimitError,
     WeightedValue,
     build_recurrence,
     eval_weighted,
     kernel,
     kernel_matrix,
+    make_scaling,
     quadrature_support,
 )
-from rmtlab.orthopoly import dump_recurrence_csv, gram_residual
+from rmtlab.experiments import recurrence_for
+from rmtlab.orthopoly import dump_recurrence_csv, gram_residual, kernel_diagonal
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +64,7 @@ def test_gram_orthonormality(hermite_table, eynard_table):
 
 
 def test_eval_weighted_odd_vanishes(hermite_table):
-    # exact zero up to the Lanczos roundoff in alpha_0
+    # exact zero up to the roundoff in alpha_0
     assert abs(eval_weighted(hermite_table, 1, 0.0).value) < 1e-12
 
 
@@ -154,9 +159,101 @@ def test_node_doubling_stability(quadratic, eynard3_pot):
         assert np.max(np.abs(k1 - k2) / (1.0 + np.abs(k1))) < 1e-7
 
 
-def test_n_cap(quadratic):
-    with pytest.raises(PrecisionLimitError):
-        build_recurrence(quadratic, 401, 1.0, 401)
+def test_hermite_oracle_large_n(quadratic):
+    # no cap on n: beta_j = j t / (2n) at n = 2560, and at t != 1 for
+    # n = 800; at t = 0.1, n = 500 the first window cuts the band of V_t
+    # and the build must widen it
+    for n, t in ((2560, 1.0), (800, 0.5), (800, 2.0), (500, 0.1)):
+        table = build_recurrence(quadratic, n, t, n)
+        beta_exact = np.arange(n + 1) * t / (2.0 * n)
+        assert np.max(np.abs(table.beta - beta_exact)) < 1e-12
+        assert np.max(np.abs(table.alpha)) < 1e-12
+
+
+def _longdouble_stieltjes(coeffs, n, t, N):
+    """Monic discretized Stieltjes in long double on a rule of its own.
+
+    The window is where n (V_t - min V_t) <= 2000, found by sampling; long
+    double still resolves exp(-2000), so the weight needs no log scaling.
+    """
+    vt = np.asarray(coeffs) / t
+    probe = np.linspace(-8.0, 8.0, 160001)
+    level = npoly.polyval(probe, vt)
+    inside = probe[n * (level - level.min()) <= 2000.0]
+    lo, hi = inside[0] - 0.01, inside[-1] + 0.01
+    xs, ws = leggauss(100)
+    edges = np.linspace(lo, hi, 41)
+    half = 0.5 * np.diff(edges)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    x = (mids[:, None] + half[:, None] * xs).ravel().astype(np.longdouble)
+    g = (half[:, None] * ws).ravel().astype(np.longdouble)
+    vx = npoly.polyval(x, vt.astype(np.longdouble))
+    w = g * np.exp(-n * (vx - vx.min()))
+    alpha = np.zeros(N + 1, dtype=np.longdouble)
+    beta = np.zeros(N + 1, dtype=np.longdouble)
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    norm_prev, norm = np.longdouble(1.0), np.sum(w)
+    for j in range(N + 1):
+        alpha[j] = np.sum(w * x * cur * cur) / norm
+        if j > 0:
+            beta[j] = norm / norm_prev
+        # p_{j+1} = (x - alpha_j) p_j - beta_j p_{j-1}, then both rescaled
+        # by one factor so the ratios above are unchanged
+        nxt = (x - alpha[j]) * cur - beta[j] * prev
+        scale = np.sqrt(norm)
+        prev, cur = cur / scale, nxt / scale
+        norm_prev, norm = norm / scale**2, np.sum(w * cur * cur)
+    return alpha.astype(float), beta.astype(float)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is plain double on this platform",
+)
+def test_longdouble_stieltjes_oracle(eynard3_pot):
+    n = 400
+    table = _ladder_table(eynard3_pot, n)
+    alpha, beta = _longdouble_stieltjes(eynard3_pot.coeffs, n, table.t, n)
+    assert np.max(np.abs(table.alpha - alpha)) < 1e-12
+    assert np.max(np.abs(table.beta[1:] - beta[1:]) / beta[1:]) < 1e-12
+
+
+def _ladder_table(pot, n):
+    """Table at s = 1, shared with the experiments layer through its cache."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="reduced-mass band")
+        t = make_scaling(pot, n, 1.0).t
+    return recurrence_for(pot, n, t)
+
+
+@pytest.mark.parametrize("n", [160, 800, 2560])
+def test_oracles_along_n_ladder(eynard3_pot, n):
+    from rmtlab.orthopoly import _kernel_confluent
+
+    table = _ladder_table(eynard3_pot, n)
+    diag = kernel_diagonal(table, table.rule.nodes)
+    assert abs(np.sum(table.rule.weights * diag) - n) < 1e-8 * n
+    assert gram_residual(table, 40) < 1e-9
+    for x, y in ((3.0, 3.0 + 0.7 / np.sqrt(n)), (0.4, 1.1), (-1.5, 2.9)):
+        cd = kernel(table, x, y)
+        direct = _kernel_confluent(table, x, y)
+        assert abs(cd - direct) <= 1e-8 * (1.0 + abs(cd))
+
+
+def test_gram_residual_at_degree_n(eynard3_pot):
+    # the weight at x* underflows at degree 0; the values there must regrow
+    table = _ladder_table(eynard3_pot, 400)
+    assert gram_residual(table, 400) < 1e-9
+
+
+@pytest.mark.parametrize("n", [800, 2560])
+def test_node_doubling_large_n(eynard3_pot, n):
+    table = _ladder_table(eynard3_pot, n)
+    finer = build_recurrence(
+        eynard3_pot, n, table.t, n, total_nodes=2 * len(table.rule.nodes)
+    )
+    assert np.max(np.abs(finer.beta - table.beta)) < 1e-12
+    assert np.max(np.abs(finer.alpha - table.alpha)) < 1e-12
 
 
 def test_table_size_bound(quadratic):

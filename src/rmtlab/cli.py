@@ -29,7 +29,6 @@ class RunConfig:
     grid: GridSpec | None = None
     n_list: tuple[int, ...] | None = None
     s_list: tuple[float, ...] | None = None
-    nodes: int | None = None
     out: str | None = None
 
 
@@ -78,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if "lists" in flags:
             p.add_argument("--n-list", type=_int_list, required=True)
             p.add_argument("--s-list", type=_float_list, required=True)
-        p.add_argument("--nodes", type=int, default=None)
         p.add_argument("--out", default=None)
         return p
 
@@ -108,7 +106,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         grid=getattr(ns, "grid", None),
         n_list=getattr(ns, "n_list", None),
         s_list=getattr(ns, "s_list", None),
-        nodes=getattr(ns, "nodes", None),
         out=ns.out,
     )
 
@@ -149,9 +146,7 @@ def _run_detect(cfg: RunConfig) -> str:
 
 def _run_kernel(cfg: RunConfig) -> str:
     pot = _load_potential(cfg.potential_path)
-    values = experiments.rescaled_kernel(
-        pot, cfg.n, cfg.s, cfg.grid, total_nodes=cfg.nodes
-    )
+    values = experiments.rescaled_kernel(pot, cfg.n, cfg.s, cfg.grid)
     return _grid_csv(cfg.grid, values)
 
 
@@ -183,9 +178,7 @@ def _run_psi(cfg: RunConfig) -> str:
 def _run_compare(cfg: RunConfig) -> str:
     pot = _load_potential(cfg.potential_path)
     params = critical.make_scaling(pot, cfg.n, cfg.s)
-    values = experiments.rescaled_kernel(
-        pot, cfg.n, cfg.s, cfg.grid, total_nodes=cfg.nodes
-    )
+    values = experiments.rescaled_kernel(pot, cfg.n, cfg.s, cfg.grid)
     k = cfg.k if cfg.k is not None else params.k
     report = experiments.compare_to_gue(values, cfg.grid, k, n=cfg.n, s=cfg.s)
     out = {
@@ -203,9 +196,7 @@ def _run_compare(cfg: RunConfig) -> str:
 
 def _run_sweep(cfg: RunConfig) -> str:
     pot = _load_potential(cfg.potential_path)
-    rows = experiments.convergence_sweep(
-        pot, cfg.n_list, cfg.s_list, cfg.grid, total_nodes=cfg.nodes
-    )
+    rows = experiments.convergence_sweep(pot, cfg.n_list, cfg.s_list, cfg.grid)
     return csv_text(
         [
             "n",
@@ -238,9 +229,7 @@ def _run_sweep(cfg: RunConfig) -> str:
 def _run_lambda_fit(cfg: RunConfig) -> str:
     pot = _load_potential(cfg.potential_path)
     params = critical.make_scaling(pot, cfg.n, cfg.s)
-    values = experiments.rescaled_kernel(
-        pot, cfg.n, cfg.s, cfg.grid, total_nodes=cfg.nodes
-    )
+    values = experiments.rescaled_kernel(pot, cfg.n, cfg.s, cfg.grid)
     k = cfg.k if cfg.k is not None else params.k
     fit = experiments.lambda_fit(values, cfg.grid, k)
     out = fit.json_dict()
@@ -253,9 +242,7 @@ def _run_count(cfg: RunConfig) -> str:
     params = critical.make_scaling(pot, cfg.n, cfg.s)
     eq = critical.unit_equilibrium(pot)
     delta = cfg.delta if cfg.delta is not None else (params.x_star - eq.b) / 4.0
-    count = experiments.expected_count(
-        pot, cfg.n, cfg.s, delta, total_nodes=cfg.nodes
-    )
+    count = experiments.expected_count(pot, cfg.n, cfg.s, delta)
     out = {"count": count, "delta": delta, "n": cfg.n, "s": cfg.s}
     return json_dumps(out) + "\n"
 

@@ -10,7 +10,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import critical, gue, orthopoly
 from .critical import ScalingParams
-from .errors import InvalidParameterError, PrecisionLimitError, RmtlabError
+from .errors import InvalidParameterError, RmtlabError
 from .potential import Potential
 
 _SINGLE_FIT_RANGE = 5  # candidate GUE sizes 0..4 for best-single selection
@@ -70,14 +70,12 @@ class LambdaFit:
 
 
 @lru_cache(maxsize=16)
-def _table_cached(coeffs: tuple, n: int, t: float, total_nodes):
-    return orthopoly.build_recurrence(Potential(coeffs), n, t, n, total_nodes)
+def _table_cached(coeffs: tuple, n: int, t: float):
+    return orthopoly.build_recurrence(Potential(coeffs), n, t, n)
 
 
-def recurrence_for(
-    potential: Potential, n: int, t: float, total_nodes: int | None = None
-):
-    return _table_cached(potential.coeffs, n, float(t), total_nodes)
+def recurrence_for(potential: Potential, n: int, t: float):
+    return _table_cached(potential.coeffs, n, float(t))
 
 
 def rescaled_kernel(
@@ -86,7 +84,6 @@ def rescaled_kernel(
     s: float,
     grid: GridSpec,
     center_nt: bool = False,
-    total_nodes: int | None = None,
 ) -> np.ndarray:
     """(cn)^{-1/2} K_{n,t}(x* + u (cn)^{-1/2}, x* + v (cn)^{-1/2}) on the grid.
 
@@ -97,13 +94,7 @@ def rescaled_kernel(
     center = params.x_star_nt if center_nt else params.x_star
     scale = np.sqrt(params.c * n)
     pts = center + grid.points() / scale
-    table = recurrence_for(potential, n, params.t, total_nodes)
-    if pts.min() < table.rule.lo or pts.max() > table.rule.hi:
-        raise PrecisionLimitError(
-            f"rescaled grid [{pts.min():.4f}, {pts.max():.4f}] leaves the "
-            f"quadrature window [{table.rule.lo:.4f}, {table.rule.hi:.4f}]; "
-            "the weight there is below double-precision resolution"
-        )
+    table = recurrence_for(potential, n, params.t)
     return orthopoly.kernel_matrix(table, pts) / scale
 
 
@@ -173,7 +164,6 @@ def expected_count(
     n: int,
     s: float,
     delta: float | None = None,
-    total_nodes: int | None = None,
 ) -> float:
     """Integral of the kernel diagonal over [x*-delta, x*+delta].
 
@@ -188,11 +178,9 @@ def expected_count(
         raise InvalidParameterError(
             f"window half-width {delta} overlaps the band [a, b]"
         )
-    table = recurrence_for(potential, n, params.t, total_nodes)
+    table = recurrence_for(potential, n, params.t)
     xs, ws = _COUNT_GL
     x = params.x_star + delta * xs
-    if x.min() < table.rule.lo or x.max() > table.rule.hi:
-        raise PrecisionLimitError("count window leaves the quadrature window")
     diag = orthopoly.kernel_diagonal(table, x)
     return float(delta * np.sum(ws * diag))
 
@@ -211,11 +199,7 @@ class SweepRow:
 
 
 def convergence_sweep(
-    potential: Potential,
-    n_list,
-    s_list,
-    grid: GridSpec,
-    total_nodes: int | None = None,
+    potential: Potential, n_list, s_list, grid: GridSpec
 ) -> list[SweepRow]:
     """One row per (n, s): best-single-kernel errors, interpolation weight,
     eigenvalue count, and a per-s log-log decay exponent of the sup error.
@@ -229,12 +213,12 @@ def convergence_sweep(
         for n in n_list:
             try:
                 params = critical.make_scaling(potential, n, s)
-                values = rescaled_kernel(potential, n, s, grid, total_nodes=total_nodes)
+                values = rescaled_kernel(potential, n, s, grid)
                 j, sup = best_single_index(values, grid)
                 diff = values - gue.gue_kernel_grid(j, pts)
                 l2 = float(grid.step * np.sqrt(np.sum(diff * diff)))
                 lam = lambda_fit(values, grid, params.k).lambda_plus
-                count = expected_count(potential, n, s, total_nodes=total_nodes)
+                count = expected_count(potential, n, s)
                 partial.append(
                     dict(
                         n=n,

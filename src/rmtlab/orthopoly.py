@@ -10,16 +10,20 @@ effective potential of the unit equilibrium measure, so it holds the
 gap-closing point x* at every n. The weight is rescaled by exp(+n min V_t)
 internally; the rescaling cancels in every kernel value.
 
-Weighted polynomial values psi_k = p_k exp(-n V_t / 2) are generated by the
-three-term recurrence seeded with the weighted p_0, carrying a running
-log-magnitude so intermediate values neither overflow nor are lost to
-underflow while they still matter.
+Every weighted polynomial value psi_k = p_k exp(-n V_t / 2) this module
+evaluates comes from one vectorized sweep, _recur: the three-term recurrence
+seeded with the weighted p_0, carrying a log scale per point so intermediate
+values neither overflow nor are lost to underflow while they still matter.
+Scalar kernel and eval_weighted run it on one or two points, weighted_sweep
+(behind kernel_matrix and kernel_diagonal) on a grid, gram_residual on the
+nodes. The Stieltjes build keeps a loop of its own, since it forms alpha and
+beta as it goes. This module alone chooses the quadrature window and the
+node count; weighted_sweep refuses points outside the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from io import StringIO
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -119,12 +123,20 @@ def quadrature_support(
     is positive: a constant added to V then moves no window at t != 1.
     The window is expanded by five percent of its width on each side.
 
-    The rule has max(2000, 12 n) nodes unless total_nodes is given. Raises
-    the typed error of the unit solve when V has no one-cut regular unit
-    measure.
+    The rule has max(2000, 12 n) nodes. total_nodes may only refine that
+    validated default: a smaller count raises InvalidParameterError, since
+    it corrupts the table without any other sign. Raises the typed error of
+    the unit solve when V has no one-cut regular unit measure.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be positive, got {n}")
+    total = max(_MIN_NODES, _NODES_PER_DEGREE * n)
+    if total_nodes is not None:
+        if total_nodes < total:
+            raise InvalidParameterError(
+                f"total_nodes = {total_nodes} is below the default {total} for n = {n}"
+            )
+        total = total_nodes
     vt = np.asarray(potential.coeffs) / t
     dvt = npoly.polyder(vt)
     crit = np.roots(dvt[::-1])
@@ -148,7 +160,6 @@ def quadrature_support(
     lo, hi = x[inside[0]] - step, x[inside[-1]] + step
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    total = total_nodes if total_nodes else max(_MIN_NODES, _NODES_PER_DEGREE * n)
     per_panel = int(np.ceil(total / _PANELS))
     xs, ws = leggauss(per_panel)
     edges = np.linspace(lo, hi, _PANELS + 1)
@@ -254,37 +265,54 @@ def _stieltjes(rule: QuadratureRule, log_half: np.ndarray, N: int):
     return alpha, beta, log_gamma0, edge
 
 
-def _step(alpha, sb, j: int, x: float, prev: float, cur: float, L: float):
-    """One recurrence step of the weighted pair (prev, cur) * exp(L) at x,
-    renormalized up or down so the mantissas stay inside double range."""
-    nxt = ((x - alpha[j]) * cur - (sb[j] * prev if j > 0 else 0.0)) / sb[j + 1]
-    prev, cur = cur, nxt
-    mag = max(abs(prev), abs(cur))
-    if mag > 1e100 or (0.0 < mag < 1e-100):
-        L += np.log(mag)
-        prev /= mag
-        cur /= mag
-    return prev, cur, L
+def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
+    """Yield (prev, cur, L) for j = 0..upto at real points, where
+    psi_{j-1} = prev exp(L) and psi_j = cur exp(L).
 
-
-def _sweep_scalar(table: RecurrenceTable, k: int, x: float):
-    """Return (psi_{k-1}, psi_k) as (mantissa pair, shared log scale)."""
+    The one evaluation sweep of the weighted three-term recurrence, seeded
+    with the weighted p_0. Each point carries a log scale of its own, and
+    a mantissa that passes 1e80 is folded into it; p_j at a fixed point
+    does not decay with j, so no fold downward is needed. In the window's
+    far tails a low-degree value can underflow to zero; it is then below
+    double resolution next to the values of higher degree, which regrow
+    from the mantissa. No yielded array is written to later, so callers
+    may keep them.
+    """
     sb = np.sqrt(table.beta)
-    L = table.log_gamma0 + float(table.log_weight_half(x))
-    prev, cur = 0.0, 1.0
-    for j in range(k):
-        prev, cur, L = _step(table.alpha, sb, j, x, prev, cur, L)
-    return prev, cur, L
+    L = table.log_gamma0 + table.log_weight_half(pts)
+    prev = np.zeros_like(pts)
+    cur = np.ones_like(pts)
+    for j in range(upto + 1):
+        yield prev, cur, L
+        if j == upto:
+            return
+        nxt = ((pts - table.alpha[j]) * cur - (sb[j] * prev if j > 0 else 0.0)) / sb[j + 1]
+        prev, cur = cur, nxt
+        mask = np.abs(cur) > 1e80
+        if mask.any():
+            f = np.where(mask, np.abs(cur), 1.0)
+            L = L + np.log(f)
+            prev = prev / f
+            cur = cur / f
+
+
+def _last(table: RecurrenceTable, pts, k: int):
+    """The last yield of _recur: psi_{k-1} and psi_k at the points."""
+    for step in _recur(table, np.asarray(pts, dtype=float), k):
+        pass
+    return step
 
 
 def eval_weighted(table: RecurrenceTable, k: int, x: float) -> WeightedValue:
     """psi_k(x) = p_k(x) exp(-n V_t(x)/2) in overflow-safe form."""
-    if k > table.N:
-        raise InvalidParameterError(f"k = {k} exceeds table size N = {table.N}")
-    _, cur, L = _sweep_scalar(table, k, x)
-    if cur == 0.0:
+    if not 0 <= k <= table.N:
+        raise InvalidParameterError(f"k = {k} outside the table's degrees 0..{table.N}")
+    _, cur, L = _last(table, [x], k)
+    if cur[0] == 0.0:
         return WeightedValue(log_mag=-np.inf, sign=0)
-    return WeightedValue(log_mag=L + np.log(abs(cur)), sign=1 if cur > 0 else -1)
+    return WeightedValue(
+        log_mag=float(L[0] + np.log(abs(cur[0]))), sign=1 if cur[0] > 0 else -1
+    )
 
 
 def kernel(table: RecurrenceTable, x: float, y: float) -> float:
@@ -294,12 +322,11 @@ def kernel(table: RecurrenceTable, x: float, y: float) -> float:
         raise InvalidParameterError("table must hold degrees through n")
     if abs(x - y) < _DIAG_SWITCH * (1.0 + abs(x)):
         return _kernel_confluent(table, x, y)
-    px1, px, Lx = _sweep_scalar(table, n, x)
-    py1, py, Ly = _sweep_scalar(table, n, y)
-    num = px * py1 - py * px1
+    prev, cur, L = _last(table, [x, y], n)
+    num = cur[0] * prev[1] - cur[1] * prev[0]
     if num == 0.0:
         return 0.0
-    mag = np.exp(Lx + Ly + np.log(abs(num)))
+    mag = np.exp(L[0] + L[1] + np.log(abs(num)))
     return float(np.sqrt(table.beta[n]) * np.sign(num) * mag / (x - y))
 
 
@@ -309,44 +336,10 @@ def _kernel_confluent(table: RecurrenceTable, x: float, y: float) -> float:
     x and y carry log scales of their own: far apart, their weights differ
     by more than the double range.
     """
-    sb = np.sqrt(table.beta)
-    Lx = table.log_gamma0 + float(table.log_weight_half(x))
-    Ly = table.log_gamma0 + float(table.log_weight_half(y))
-    ppx, pcx = 0.0, 1.0
-    ppy, pcy = 0.0, 1.0
     acc = 0.0
-    for j in range(table.n):
-        acc += pcx * pcy * np.exp(Lx + Ly)
-        ppx, pcx, Lx = _step(table.alpha, sb, j, x, ppx, pcx, Lx)
-        ppy, pcy, Ly = _step(table.alpha, sb, j, y, ppy, pcy, Ly)
+    for _, cur, L in _recur(table, np.array([x, y], dtype=float), table.n - 1):
+        acc += cur[0] * cur[1] * np.exp(L[0] + L[1])
     return float(acc)
-
-
-def _weighted_values(table: RecurrenceTable, pts: np.ndarray, upto: int):
-    """Yield psi_0..psi_upto at real points, one degree at a time, in
-    absolute scale.
-
-    Each point carries a running log scale, folded in when a mantissa
-    passes 1e80. In the window's far tails a low-degree value can underflow
-    to zero; it is then below double resolution next to the values of
-    higher degree, which regrow from the mantissa.
-    """
-    sb = np.sqrt(table.beta)
-    L = table.log_gamma0 + table.log_weight_half(pts)
-    prev = np.zeros_like(pts)
-    cur = np.ones_like(pts)
-    for j in range(upto + 1):
-        yield cur * np.exp(L)
-        if j == upto:
-            return
-        nxt = ((pts - table.alpha[j]) * cur - (sb[j] * prev if j > 0 else 0.0)) / sb[j + 1]
-        prev, cur = cur, nxt
-        mask = np.abs(cur) > 1e80
-        if mask.any():
-            f = np.where(mask, np.abs(cur), 1.0)
-            L += np.log(f)
-            prev /= f
-            cur /= f
 
 
 def weighted_sweep(table: RecurrenceTable, pts: np.ndarray):
@@ -354,12 +347,21 @@ def weighted_sweep(table: RecurrenceTable, pts: np.ndarray):
 
     Returns (psi_{n-1}, psi_n, diag) in absolute scale, where diag is the
     kernel diagonal sum over degrees below n. Values below double
-    resolution, as in the window's far tails, come out as zero.
+    resolution, as in the window's far tails, come out as zero. Raises
+    PrecisionLimitError for points outside the window, where the weight is
+    below double resolution.
     """
     pts = np.asarray(pts, dtype=float)
+    rule = table.rule
+    if np.any((pts < rule.lo) | (pts > rule.hi)):
+        raise PrecisionLimitError(
+            f"points [{pts.min():.4f}, {pts.max():.4f}] leave the quadrature "
+            f"window [{rule.lo:.4f}, {rule.hi:.4f}]; the weight there is below "
+            "double-precision resolution"
+        )
     diag = np.zeros_like(pts)
-    last = np.zeros_like(pts)
-    for j, psi in enumerate(_weighted_values(table, pts, table.n)):
+    for j, (_, cur, L) in enumerate(_recur(table, pts, table.n)):
+        psi = cur * np.exp(L)
         if j == table.n:
             return last, psi, diag
         diag += psi * psi
@@ -386,15 +388,8 @@ def gram_residual(table: RecurrenceTable, upto: int) -> float:
 
     Holds the (upto + 1) x M weighted values on the table's nodes.
     """
-    vals = np.array(list(_weighted_values(table, table.rule.nodes, upto)))
+    vals = np.array(
+        [cur * np.exp(L) for _, cur, L in _recur(table, table.rule.nodes, upto)]
+    )
     gram = (vals * table.rule.weights) @ vals.T
     return float(np.abs(gram - np.eye(upto + 1)).max())
-
-
-def dump_recurrence_csv(table: RecurrenceTable) -> str:
-    """CSV of the coefficients, beta_0 written as zero by convention."""
-    out = StringIO()
-    out.write("j,alpha,beta\n")
-    for j in range(table.N + 1):
-        out.write(f"{j},{table.alpha[j]:.17g},{table.beta[j]:.17g}\n")
-    return out.getvalue()

@@ -8,6 +8,7 @@ from numpy.polynomial.legendre import leggauss
 from rmtlab import (
     InvalidParameterError,
     Potential,
+    PrecisionLimitError,
     WeightedValue,
     build_recurrence,
     eval_weighted,
@@ -17,7 +18,7 @@ from rmtlab import (
     quadrature_support,
 )
 from rmtlab.experiments import recurrence_for
-from rmtlab.orthopoly import dump_recurrence_csv, gram_residual, kernel_diagonal
+from rmtlab.orthopoly import gram_residual, kernel_diagonal, weighted_sweep
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +239,14 @@ def test_oracles_along_n_ladder(eynard3_pot, n):
         cd = kernel(table, x, y)
         direct = _kernel_confluent(table, x, y)
         assert abs(cd - direct) <= 1e-8 * (1.0 + abs(cd))
+        # the scalar and the vectorized paths run one sweep
+        assert cd == pytest.approx(kernel_matrix(table, [x, y])[0, 1], rel=1e-13)
+        psi_n = weighted_sweep(table, [x])[1][0]
+        assert eval_weighted(table, n, x).value == pytest.approx(psi_n, rel=1e-13)
+    with pytest.raises(PrecisionLimitError):
+        kernel_matrix(table, [table.rule.lo - 1.0, 0.0])
+    with pytest.raises(PrecisionLimitError):
+        kernel_matrix(table, [0.0, table.rule.hi + 1.0])
 
 
 def test_gram_residual_at_degree_n(eynard3_pot):
@@ -262,19 +271,19 @@ def test_table_size_bound(quadratic):
 
 
 def test_eval_weighted_degree_bound(hermite_table):
+    for k in (13, -1):
+        with pytest.raises(InvalidParameterError):
+            eval_weighted(hermite_table, k, 0.0)
+
+
+@pytest.mark.parametrize("total_nodes", [0, 1, 64])
+def test_total_nodes_below_default(eynard3_pot, total_nodes):
+    # fewer nodes than max(2000, 12 n) give a wrong table without an error
     with pytest.raises(InvalidParameterError):
-        eval_weighted(hermite_table, 13, 0.0)
+        quadrature_support(eynard3_pot, 40, 1.0, total_nodes=total_nodes)
 
 
 def test_weighted_value_sentinel():
     wv = WeightedValue(log_mag=-np.inf, sign=0)
     assert wv.value == 0.0
 
-
-def test_recurrence_csv(hermite_table):
-    text = dump_recurrence_csv(hermite_table)
-    lines = text.strip().split("\n")
-    assert lines[0] == "j,alpha,beta"
-    assert len(lines) == hermite_table.N + 2
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[2]) == 0.0

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -34,6 +34,11 @@ class ScalingParams:
     (exact half-integers round up) and delta = nu - k. c is the local
     curvature scale and J the edge-to-gap-point arcsine integral entering
     the s <-> t conversion.
+
+    x_star_nt, the reduced-mass diagnostic, is computed when it is first
+    read (json_dict and rescaled_kernel(center_nt=True) read it) and kept
+    on the bundle; a warning about its reduced-mass realization comes then,
+    not from make_scaling.
     """
 
     n: int
@@ -44,9 +49,13 @@ class ScalingParams:
     delta: float
     m: float
     x_star: float
-    x_star_nt: float
     c: float
     J: float
+    potential: Potential = field(repr=False, compare=False)
+
+    @cached_property
+    def x_star_nt(self) -> float:
+        return float(find_xstar_nt(self.potential, self.n, self.t, self.m, strict=False))
 
     def json_dict(self) -> dict:
         return {
@@ -97,15 +106,10 @@ def _polish_root(h: np.ndarray, dh: np.ndarray, x0: float) -> float:
     return x
 
 
-def detect_singular(potential: Potential) -> float:
-    """Locate the exterior point beyond b where q has a double zero and the
-    effective-potential equality holds.
-
-    Candidates are the real zeros of h in (b, b + 10(b-a)]; the signed
-    integral phi separates the genuine gap-closing point (phi = 0) from
-    the intermediate double zero where the square-root branch flips sign.
-    """
-    eq = unit_equilibrium(potential)
+@lru_cache(maxsize=64)
+def _geometry_cached(coeffs: tuple) -> tuple[float, float, float]:
+    """x*, J and c of one potential (see detect_singular)."""
+    eq = _unit_eq_cached(coeffs)
     h = np.asarray(eq.h_coeffs)
     if len(h) < 2:
         raise NoSingularPointError("h is constant; q has only simple zeros")
@@ -136,7 +140,20 @@ def detect_singular(potential: Potential) -> float:
     qdd = _q_second_derivative(eq, x_star)
     if qdd <= 0:
         raise WrongOrderError(f"q''({x_star}) = {qdd} is not positive")
-    return x_star
+    return x_star, scaling_J(eq.a, eq.b, x_star), curvature_c(Potential(coeffs), x_star)
+
+
+def detect_singular(potential: Potential) -> float:
+    """Locate the exterior point beyond b where q has a double zero and the
+    effective-potential equality holds.
+
+    Candidates are the real zeros of h in (b, b + 10(b-a)]; the signed
+    integral phi separates the genuine gap-closing point (phi = 0) from
+    the intermediate double zero where the square-root branch flips sign.
+    The point, with J and c, is computed once per potential; a potential
+    without a valid point raises its typed error on every call.
+    """
+    return _geometry_cached(potential.coeffs)[0]
 
 
 def _q_second_derivative(eq: EquilibriumData, x: float) -> float:
@@ -219,42 +236,44 @@ def find_xstar_nt(
     reduced-mass one-cut realization breaks down, which happens whenever
     the deficit undershoots the nucleating mass), strict mode raises
     NoConvergenceError and non-strict mode falls back to x* with a warning;
-    any RmtlabError of the reduced-mass solve counts as such a breakdown.
+    any RmtlabError of the reduced-mass solve, and a root polish that
+    stalls, count as such a breakdown.
     """
     x_star = detect_singular(potential)
     if t <= 1.0 or m <= 0.0:
         return x_star
     try:
+        return _reduced_mass_root(potential, t, m, x_star)
+    except NoConvergenceError as exc:
+        if strict:
+            raise
+        warnings.warn(str(exc), stacklevel=2)
+        return x_star
+
+
+def _reduced_mass_root(potential: Potential, t: float, m: float, x_star: float) -> float:
+    """find_xstar_nt for t > 1 and m > 0; every breakdown is a NoConvergenceError."""
+    try:
         eq = solve_cached(potential, t, 1.0 - m)
     except RmtlabError as exc:
-        msg = (
+        raise NoConvergenceError(
             f"reduced-mass band at t={t:.6f} has no one-cut solve ({exc}); "
             "the deficit undershoots the nucleating mass at this scale"
-        )
-        if strict:
-            raise NoConvergenceError(msg) from exc
-        warnings.warn(msg, stacklevel=2)
-        return x_star
+        ) from exc
     gap = x_star - unit_equilibrium(potential).b
     if eq.b >= x_star - _GAP_FRACTION * max(gap, 1.0):
-        msg = (
+        raise NoConvergenceError(
             f"reduced-mass band edge b'={eq.b:.6f} reaches the gap point "
             f"x*={x_star:.6f}; the one-cut deficit realization is invalid here"
         )
-        if strict:
-            raise NoConvergenceError(msg)
-        warnings.warn(msg, stacklevel=2)
-        return x_star
     h = np.asarray(eq.h_coeffs)
     dh = npoly.polyder(h)
     roots = np.roots(h[::-1]) if len(h) > 1 else np.array([])
     real = [r.real for r in roots if abs(r.imag) < 1e-8]
     if not real:
-        msg = f"h of the reduced-mass band has no real zero near x*={x_star}"
-        if strict:
-            raise NoConvergenceError(msg)
-        warnings.warn(msg, stacklevel=2)
-        return x_star
+        raise NoConvergenceError(
+            f"h of the reduced-mass band has no real zero near x*={x_star}"
+        )
     x_nt = _polish_root(h, dh, min(real, key=lambda r: abs(r - x_star)))
     if abs(npoly.polyval(x_nt, h)) > 1e-12:
         raise NoConvergenceError(f"root polish stalled at h({x_nt}) != 0")
@@ -262,19 +281,19 @@ def find_xstar_nt(
 
 
 def make_scaling(potential: Potential, n: int, s: float) -> ScalingParams:
-    """Assemble the full double-scaling bundle at (n, s)."""
+    """Assemble the double-scaling bundle at (n, s).
+
+    After the first call for a potential this is arithmetic: x*, J and c
+    are cached per potential, and x_star_nt waits until it is read.
+    """
     if abs(s) > _MAX_ABS_S:
         raise InvalidParameterError(f"|s| <= {_MAX_ABS_S} required, got {s}")
-    x_star = detect_singular(potential)
-    eq = unit_equilibrium(potential)
-    J = scaling_J(eq.a, eq.b, x_star)
+    x_star, J, c = _geometry_cached(potential.coeffs)
     t = s_to_t(s, n, J)
     m = max(s / n, 0.0)
     nu = n * m
     k = int(np.floor(nu + 0.5))
     delta = nu - k
-    x_star_nt = find_xstar_nt(potential, n, t, m, strict=False)
-    c = curvature_c(potential, x_star)
     return ScalingParams(
         n=n,
         t=float(t),
@@ -284,9 +303,9 @@ def make_scaling(potential: Potential, n: int, s: float) -> ScalingParams:
         delta=float(delta),
         m=float(m),
         x_star=float(x_star),
-        x_star_nt=float(x_star_nt),
         c=float(c),
         J=float(J),
+        potential=potential,
     )
 
 

@@ -18,6 +18,16 @@ from .errors import InvalidParameterError, OffAxisRequiredError, PrecisionLimitE
 _DIAG_SWITCH = 1e-8
 
 
+def _hermite_values(x: np.ndarray, count: int):
+    """Yield H_0(x), ..., H_{count-1}(x) from one pass of the recurrence."""
+    prev = np.zeros_like(x)
+    cur = np.full_like(x, np.pi**-0.25)
+    for j in range(count):
+        if j:
+            prev, cur = cur, (x * cur - np.sqrt((j - 1) / 2.0) * prev) / np.sqrt(j / 2.0)
+        yield cur
+
+
 def hermite(k: int, x):
     """Orthonormal Hermite value H_k(x); H_{-1} is zero by convention.
 
@@ -28,15 +38,10 @@ def hermite(k: int, x):
         raise InvalidParameterError(f"k must be >= -1, got {k}")
     x = np.asarray(x)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if k == -1:
-        out = np.zeros_like(x)
-    else:
-        prev = np.zeros_like(x)
-        cur = np.full_like(x, np.pi**-0.25)
-        for j in range(k):
-            prev, cur = cur, (x * cur - np.sqrt(j / 2.0) * prev) / np.sqrt((j + 1) / 2.0)
-        out = cur
+    x = np.atleast_1d(x).astype(np.result_type(x, 1.0), copy=False)
+    out = np.zeros_like(x)
+    for out in _hermite_values(x, k + 1):
+        pass
     return out[0] if scalar else out
 
 
@@ -60,7 +65,7 @@ def gue_kernel_sum(k: int, u: float, v: float) -> float:
     """Summed form e^{-(u^2+v^2)/2} sum_{j<k} H_j(u) H_j(v); empty sum for k = 0."""
     if k < 0:
         raise InvalidParameterError(f"k must be nonnegative, got {k}")
-    acc = sum(hermite(j, u) * hermite(j, v) for j in range(k))
+    acc = sum(h[0] * h[1] for h in _hermite_values(np.array([u, v], dtype=float), k))
     return float(np.exp(-(u * u + v * v) / 2.0) * acc)
 
 
@@ -75,7 +80,7 @@ def gue_kernel_grid(k: int, grid: np.ndarray) -> np.ndarray:
     du = np.subtract.outer(grid, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         kk = np.sqrt(k / 2.0) * (outer - outer.T) / du
-    diag = sum(hermite(j, grid) ** 2 for j in range(k))
+    diag = sum(h**2 for h in _hermite_values(grid, k))
     np.fill_diagonal(kk, diag)
     gauss = np.exp(-0.5 * np.add.outer(grid * grid, grid * grid))
     return kk * gauss

@@ -24,6 +24,7 @@ node count; weighted_sweep refuses points outside the window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -100,6 +101,15 @@ class RecurrenceTable:
         )
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(count), computed once per count and read-only."""
+    xs, ws = leggauss(count)
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws
+
+
 def quadrature_support(
     potential: Potential,
     n: int,
@@ -160,8 +170,7 @@ def quadrature_support(
     lo, hi = x[inside[0]] - step, x[inside[-1]] + step
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    per_panel = int(np.ceil(total / _PANELS))
-    xs, ws = leggauss(per_panel)
+    xs, ws = _gauss_legendre(int(np.ceil(total / _PANELS)))
     edges = np.linspace(lo, hi, _PANELS + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

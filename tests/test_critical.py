@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
 from rmtlab import (
+    critical,
     InvalidParameterError,
     NoConvergenceError,
     NoSingularPointError,
@@ -181,12 +184,80 @@ def test_nonpositive_s_reuses_unit_mass_solve(eynard3_pot):
 @pytest.mark.parametrize("n", [240, 300])
 def test_make_scaling_survives_reduced_mass_no_convergence(eynard3_pot, n):
     # the reduced-mass endpoint Newton does not converge here; the kernel
-    # does not need x_star_nt, so non-strict mode falls back to x*
+    # does not need x_star_nt, so non-strict mode falls back to x*, with
+    # the warning coming when the lazy diagnostic is read
+    params = make_scaling(eynard3_pot, n, 1.0)
     with pytest.warns(UserWarning):
-        params = make_scaling(eynard3_pot, n, 1.0)
-    assert params.x_star_nt == params.x_star
+        x_star_nt = params.x_star_nt
+    assert x_star_nt == params.x_star
     with pytest.raises(NoConvergenceError):
         find_xstar_nt(eynard3_pot, n, params.t, params.m, strict=True)
+
+
+def test_make_scaling_never_computes_x_star_nt(eynard3_pot, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("x_star_nt computed")
+
+    monkeypatch.setattr(critical, "find_xstar_nt", refuse)
+    params = make_scaling(eynard3_pot, 160, 1.0)
+    assert params.k == 1
+    with pytest.raises(AssertionError):
+        params.x_star_nt
+
+
+def test_x_star_nt_read_once(eynard3_pot, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return 2.5
+
+    monkeypatch.setattr(critical, "find_xstar_nt", counting)
+    params = make_scaling(eynard3_pot, 160, 1.0)
+    assert params.json_dict()["x_star_nt"] == params.x_star_nt == 2.5
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 2.0])
+def test_json_x_star_nt_is_nonstrict_find(eynard3_pot, s):
+    params = make_scaling(eynard3_pot, 120, s)
+    expected = find_xstar_nt(eynard3_pot, 120, params.t, params.m, strict=False)
+    assert params.json_dict()["x_star_nt"] == expected
+
+
+def test_geometry_errors_raised_on_every_call(quadratic):
+    for _ in range(2):
+        with pytest.raises(NoSingularPointError):
+            make_scaling(quadratic, 100, 1.0)
+        with pytest.raises(NoSingularPointError):
+            detect_singular(quadratic)
+
+
+_TOTALITY_N = [2, 3, 5, 17, 40, 119, 160, 240, 300, 641, 1280, 3200]
+_TOTALITY_S = [-8.0, -2.5, -0.3, 0.0, 0.4, 1.0, 1.5, 2.7, 5.0, 8.0]
+
+
+@pytest.mark.parametrize("e", [3.0, 4.0])
+def test_make_scaling_total(e):
+    pot, _ = make_eynard(e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n in _TOTALITY_N:
+            for s in _TOTALITY_S:
+                d = make_scaling(pot, n, s).json_dict()
+                assert all(np.isfinite(v) for v in d.values()), (n, s, d)
+
+
+def test_nonstrict_polish_stall_falls_back(eynard3_pot, monkeypatch):
+    # t = 1.05, m = 0.05 has a valid reduced-mass band clear of x*
+    x_star = detect_singular(eynard3_pot)
+    assert abs(find_xstar_nt(eynard3_pot, 100, 1.05, 0.05) - x_star) < 0.1
+    monkeypatch.setattr(critical, "_polish_root", lambda h, dh, x0: x0 + 1.0)
+    with pytest.raises(NoConvergenceError):
+        find_xstar_nt(eynard3_pot, 100, 1.05, 0.05, strict=True)
+    with pytest.warns(UserWarning, match="root polish stalled"):
+        x = find_xstar_nt(eynard3_pot, 100, 1.05, 0.05, strict=False)
+    assert x == x_star
 
 
 def test_phix_growth_check_rejects_nonpositive_s(eynard3_pot):

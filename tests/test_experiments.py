@@ -5,6 +5,7 @@ import pytest
 
 from rmtlab import (
     GridSpec,
+    critical,
     InvalidParameterError,
     PrecisionLimitError,
     compare_to_gue,
@@ -173,6 +174,22 @@ def test_sweep_survives_row_failure(eynard3_pot):
     good, bad = rows
     assert np.isfinite(good.sup_error)
     assert np.isnan(bad.sup_error) and bad.n == 1 and bad.k == -1
+
+
+def test_hot_path_never_reads_x_star_nt(eynard3_pot, monkeypatch):
+    # the sweep, the kernel grid and the count do not need the reduced-mass
+    # diagnostic: neither its computation nor any warning may reach them
+    def refuse(*args, **kwargs):
+        raise AssertionError("x_star_nt computed")
+
+    monkeypatch.setattr(critical, "find_xstar_nt", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = convergence_sweep(eynard3_pot, [40, 80], [1.0, 1.5], GRID)
+        values = rescaled_kernel(eynard3_pot, 120, 1.0, GRID)
+        count = expected_count(eynard3_pot, 120, 1.0)
+    assert all(np.isfinite(r.sup_error) and np.isfinite(r.expected_count) for r in rows)
+    assert np.isfinite(values).all() and np.isfinite(count)
 
 
 def test_large_n_grids_inside_window(eynard3_pot):

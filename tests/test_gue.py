@@ -77,6 +77,35 @@ def test_sum_matches_cd_pointwise():
     assert abs(gue_kernel(5, 0.7, -1.2) - gue_kernel_sum(5, 0.7, -1.2)) < 1e-10
 
 
+def _hermite_restarted(j, x):
+    """H_j(x) by its own run of the recurrence from degree 0."""
+    prev, cur = np.zeros(1), np.full(1, np.pi**-0.25)
+    for i in range(j):
+        prev, cur = cur, (x * cur - np.sqrt(i / 2.0) * prev) / np.sqrt((i + 1) / 2.0)
+    return cur[0]
+
+
+def test_one_pass_sums_exact():
+    # one recurrence pass gives exactly the per-degree sum, term by term
+    grid = np.arange(-3.0, 3.0001, 0.25)
+    table = np.array([[_hermite_restarted(j, x) for x in grid] for j in range(8)])
+    for k in range(9):
+        rows = table[:k]
+        for i, u in enumerate(grid):
+            for l, v in enumerate(grid):
+                acc = sum(rows[j, i] * rows[j, l] for j in range(k))
+                assert gue_kernel_sum(k, u, v) == float(np.exp(-(u * u + v * v) / 2.0) * acc)
+        if k:
+            diag = sum(rows[j] ** 2 for j in range(k))
+            gauss = np.exp(-grid * grid)
+            assert np.array_equal(np.diag(gue_kernel_grid(k, grid)), diag * gauss)
+
+
+def test_hermite_integer_argument():
+    assert hermite(2, 1) == hermite(2, 1.0) != 0.0
+    assert gue_kernel_sum(2, 1, 1) == gue_kernel_sum(2, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_cd_sum_identity_on_grid(k):
     grid = np.arange(-3.0, 3.0001, 0.25)

@@ -18,7 +18,12 @@ from rmtlab import (
     quadrature_support,
 )
 from rmtlab.experiments import recurrence_for
-from rmtlab.orthopoly import gram_residual, kernel_diagonal, weighted_sweep
+from rmtlab.orthopoly import (
+    _gauss_legendre,
+    gram_residual,
+    kernel_diagonal,
+    weighted_sweep,
+)
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +286,20 @@ def test_total_nodes_below_default(eynard3_pot, total_nodes):
     # fewer nodes than max(2000, 12 n) give a wrong table without an error
     with pytest.raises(InvalidParameterError):
         quadrature_support(eynard3_pot, 40, 1.0, total_nodes=total_nodes)
+
+
+def test_gauss_legendre_rule_cached(eynard3_pot):
+    # the cached rule is leggauss bit for bit, shared, and read-only
+    rule = quadrature_support(eynard3_pot, 320, 1.0)
+    xs, ws = leggauss(120)  # 12 * 320 nodes over 32 panels
+    edges = np.linspace(rule.lo, rule.hi, 33)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    assert np.array_equal(rule.nodes, (mids[:, None] + half[:, None] * xs).ravel())
+    assert np.array_equal(rule.weights, (half[:, None] * ws).ravel())
+    cached = _gauss_legendre(120)
+    assert cached is _gauss_legendre(120)
+    assert not cached[0].flags.writeable and not cached[1].flags.writeable
 
 
 def test_weighted_value_sentinel():

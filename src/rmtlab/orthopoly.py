@@ -10,6 +10,12 @@ effective potential of the unit equilibrium measure, so it holds the
 gap-closing point x* at every n. The weight is rescaled by exp(+n min V_t)
 internally; the rescaling cancels in every kernel value.
 
+The rule has panels of a fixed order, as many as the window needs to
+resolve about n oscillations across the band. Too few nodes give a wrong
+table without any other sign, so every table is checked against the Freud
+string equations (Freud 1976), which hold exactly and need no quadrature:
+string_residual. A table that fails them is rebuilt on twice the nodes.
+
 Every weighted polynomial value psi_k = p_k exp(-n V_t / 2) this module
 evaluates comes from one vectorized sweep, _recur: the three-term recurrence
 seeded with the weighted p_0, carrying a log scale per point so intermediate
@@ -41,12 +47,13 @@ from .potential import Potential
 _LEVEL = 745.0 + 60.0  # double underflow at exp(-745), plus a margin
 _SAMPLES = 4001
 _MAX_DOUBLINGS = 60
-_PANELS = 32
+_ORDER = 63  # Gauss-Legendre nodes per panel
 _MIN_NODES = 2000
-_NODES_PER_DEGREE = 12
+_NODES_PER_BAND = 5  # nodes per degree, per band width of window
+_STRING_TOL = 1e-12
 _RENORM = 1e100
 _EDGE_TOL = 1e-30
-_WIDENINGS = 4
+_WIDENINGS = 4  # builds per table, shared by window widening and node doubling
 _DIAG_SWITCH = 1e-8
 
 
@@ -101,13 +108,38 @@ class RecurrenceTable:
         )
 
 
-@lru_cache(maxsize=32)
-def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """leggauss(count), computed once per count and read-only."""
-    xs, ws = leggauss(count)
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(_ORDER), computed once and read-only."""
+    xs, ws = leggauss(_ORDER)
     xs.flags.writeable = False
     ws.flags.writeable = False
     return xs, ws
+
+
+@lru_cache(maxsize=128)
+def _log_potential_samples(coeffs: tuple, doubling: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points x of one bracket of the window search and 2 U_1(x) there.
+
+    The bracket is the unit band's midpoint plus or minus its radius times
+    2**doubling, sampled at _SAMPLES points; U_1 is the log potential of the
+    unit equilibrium measure. Computed once per potential and doubling, and
+    read-only.
+    """
+    eq = critical.unit_equilibrium(Potential(coeffs))
+    reach = eq.radius * 2.0**doubling
+    x = np.linspace(eq.midpoint - reach, eq.midpoint + reach, _SAMPLES)
+    two_u = 2.0 * equilibrium.log_potential(eq, x)
+    x.flags.writeable = False
+    two_u.flags.writeable = False
+    return x, two_u
+
+
+def _check_nt(n, t) -> None:
+    if not n >= 1:
+        raise InvalidParameterError(f"n must be positive, got {n}")
+    if not (np.isfinite(t) and t > 0):
+        raise InvalidParameterError(f"t must be positive and finite, got {t}")
 
 
 def quadrature_support(
@@ -129,37 +161,32 @@ def quadrature_support(
     The excess is sampled on a bracket that doubles outward from the band
     until both ends exceed the level, and the window runs between the
     outermost samples below it, so a barrier between the band and x*
-    cannot split it. The level is raised by the smallest excess when that
-    is positive: a constant added to V then moves no window at t != 1.
-    The window is expanded by five percent of its width on each side.
+    cannot split it. The samples of 2 U_1 are computed once per potential
+    and bracket; each call adds only V_t. The level is raised by the
+    smallest excess when that is positive: a constant added to V then
+    moves no window at t != 1. The window is expanded by five percent of
+    its width on each side.
 
-    The rule has max(2000, 12 n) nodes. total_nodes may only refine that
-    validated default: a smaller count raises InvalidParameterError, since
-    it corrupts the table without any other sign. Raises the typed error of
-    the unit solve when V has no one-cut regular unit measure.
+    The rule has panels of 63 Gauss-Legendre nodes each, uniform over the
+    window, and at least max(2000, 5 n (hi - lo) / (b - a)) nodes, where
+    [a, b] is the unit band: a degree-n polynomial oscillates about n times
+    across the band, and every panel must resolve its share. total_nodes
+    may only refine that default: a smaller count raises
+    InvalidParameterError, since it corrupts the table without any other
+    sign. Raises InvalidParameterError unless n >= 1 and t is positive and
+    finite, and the typed error of the unit solve when V has no one-cut
+    regular unit measure.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be positive, got {n}")
-    total = max(_MIN_NODES, _NODES_PER_DEGREE * n)
-    if total_nodes is not None:
-        if total_nodes < total:
-            raise InvalidParameterError(
-                f"total_nodes = {total_nodes} is below the default {total} for n = {n}"
-            )
-        total = total_nodes
+    _check_nt(n, t)
     vt = np.asarray(potential.coeffs) / t
     dvt = npoly.polyder(vt)
     crit = np.roots(dvt[::-1])
     crit = crit[np.abs(crit.imag) < 1e-9].real
     vt_min = float(np.min(npoly.polyval(crit, vt)))
     eq = critical.unit_equilibrium(potential)
-    reach = eq.radius
-    for _ in range(_MAX_DOUBLINGS):
-        reach *= 2.0
-        x = np.linspace(eq.midpoint - reach, eq.midpoint + reach, _SAMPLES)
-        excess = n * (
-            npoly.polyval(x, vt) - 2.0 * equilibrium.log_potential(eq, x) + eq.ell
-        )
+    for doubling in range(1, _MAX_DOUBLINGS + 1):
+        x, two_u = _log_potential_samples(potential.coeffs, doubling)
+        excess = n * (npoly.polyval(x, vt) - two_u + eq.ell)
         top = level + max(float(excess.min()), 0.0)
         if excess[0] > top and excess[-1] > top:
             break
@@ -170,8 +197,16 @@ def quadrature_support(
     lo, hi = x[inside[0]] - step, x[inside[-1]] + step
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    xs, ws = _gauss_legendre(int(np.ceil(total / _PANELS)))
-    edges = np.linspace(lo, hi, _PANELS + 1)
+    total = max(_MIN_NODES, int(np.ceil(_NODES_PER_BAND * n * (hi - lo) / (eq.b - eq.a))))
+    if total_nodes is not None:
+        if total_nodes < total:
+            raise InvalidParameterError(
+                f"total_nodes = {total_nodes} is below the default {total} for n = {n}"
+            )
+        total = total_nodes
+    panels = -(-total // _ORDER)
+    xs, ws = _gauss_legendre()
+    edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mids[:, None] + half[:, None] * xs[None, :]).ravel()
@@ -189,35 +224,106 @@ def build_recurrence(
     """Recurrence coefficients for degrees 0..N of the weight exp(-n V_t).
 
     Discretized Stieltjes procedure (Gautschi 1982) on the rule of
-    quadrature_support, in O(M N) time and O(M) memory for M nodes. If
-    p_N or p_{N-1} still carries weight at an end of the window (t far
-    from 1, where the t = 1 effective potential misjudges the window), the
-    window level doubles and the build repeats. Raises the unit solve's
-    typed error when V has no one-cut regular unit measure.
+    quadrature_support, in O(M N) time and O(M) memory for M nodes. Two
+    checks guard each table, and they share four attempts:
+
+    - If p_N or p_{N-1} still carries weight at an end of the window (t far
+      from 1, where the t = 1 effective potential misjudges the window),
+      the window level doubles and the wider window sizes its rule afresh.
+    - If the table misses the string equations (string_residual: the
+      diagonal residual above 1e-12 n or the off-diagonal one above 1e-12),
+      the rule was too coarse, and the build repeats on twice the nodes.
+
+    Raises PrecisionLimitError when the attempts run out,
+    InvalidParameterError unless n >= 1, t is positive and finite and
+    0 <= N <= 1.2 n + 10, and the unit solve's typed error when V has no
+    one-cut regular unit measure.
     """
-    if N > 1.2 * n + 10:
-        raise InvalidParameterError(f"N = {N} too large for n = {n}")
+    _check_nt(n, t)
+    if not 0 <= N <= 1.2 * n + 10:
+        raise InvalidParameterError(f"N = {N} outside 0..1.2 n + 10 for n = {n}")
     vt = np.asarray(potential.coeffs) / t
-    level = _LEVEL
+    level, total = _LEVEL, total_nodes
     for _ in range(_WIDENINGS):
-        rule = quadrature_support(potential, n, t, total_nodes, level=level)
+        rule = quadrature_support(potential, n, t, total, level=level)
         log_half = -0.5 * n * (npoly.polyval(rule.nodes, vt) - rule.vt_min)
         alpha, beta, log_gamma0, edge = _stieltjes(rule, log_half, N)
-        if edge <= _EDGE_TOL:
-            return RecurrenceTable(
-                potential=potential,
-                n=n,
-                t=t,
-                N=N,
-                alpha=alpha,
-                beta=beta,
-                log_gamma0=log_gamma0,
-                rule=rule,
-            )
-        level *= 2.0
-    raise PrecisionLimitError(
-        f"degree-{N} polynomials still carry weight {edge:.1e} at the window ends"
-    )
+        if edge > _EDGE_TOL:
+            failure = f"degree-{N} polynomials still carry weight {edge:.1e} at the window ends"
+            level *= 2.0
+            total = total_nodes
+            continue
+        table = RecurrenceTable(
+            potential=potential,
+            n=n,
+            t=t,
+            N=N,
+            alpha=alpha,
+            beta=beta,
+            log_gamma0=log_gamma0,
+            rule=rule,
+        )
+        diag, off = string_residual(table)
+        if diag <= _STRING_TOL * n and off <= _STRING_TOL:
+            return table
+        failure = (
+            f"the table on {rule.nodes.size} nodes misses the string equations "
+            f"by {diag:.1e} (diagonal) and {off:.1e} (off-diagonal)"
+        )
+        total = 2 * rule.nodes.size
+    raise PrecisionLimitError(failure)
+
+
+def string_residual(table: RecurrenceTable) -> tuple[float, float]:
+    """How far the table misses the Freud string equations.
+
+    For the weight exp(-n V_t), integration by parts gives, for the Jacobi
+    matrix J of the recurrence, V_t'(J)_{jj} = 0 and
+    n V_t'(J)_{j,j-1} sqrt(beta_j) = j, exactly and with no quadrature.
+    Returns max |n V_t'(J)_{jj}| and max |n V_t'(J)_{j,j-1} sqrt(beta_j) / j - 1|
+    over the degrees j <= N - deg V_t', where the truncated J gives
+    V_t'(J) exactly. V_t'(J) is formed on the diagonals of J, in O(N deg V)
+    work. (For V = x^2 the second is beta_j = j t / (2n).)
+    """
+    dv = npoly.polyder(table.vt_coeffs())
+    deg = len(dv) - 1
+    top = table.N - deg
+    if top < 0:
+        return 0.0, 0.0
+    P = _band_polyval(dv, table.alpha, np.sqrt(table.beta))
+    diag = table.n * np.abs(P[deg][: top + 1])
+    j = np.arange(1, top + 1)
+    sub = table.n * P[deg - 1][1 : top + 1] * np.sqrt(table.beta[1 : top + 1]) / j
+    return float(diag.max()), float(np.abs(sub - 1.0).max(initial=0.0))
+
+
+def _band_polyval(coeffs: np.ndarray, alpha: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """The diagonals of P(J) for the Jacobi matrix J with diagonal alpha and
+    off-diagonals J[k-1, k] = sb[k] (sb[0] unused), by Horner's rule.
+
+    Row deg + d of the result holds P(J)[i, i + d] at column i, zero where
+    i + d leaves 0..N; deg is the degree of P.
+    """
+    deg = len(coeffs) - 1
+    size = len(alpha)
+    pad = np.zeros(deg + 1)
+    # the entries of J at column i + d, for every offset d, read off by slicing
+    a_pad = np.concatenate([pad, alpha, pad])
+    s_pad = np.concatenate([pad, [0.0], sb[1:], pad, [0.0]])
+    P = np.zeros((2 * deg + 3, size))  # one zero row either side of the band
+    P[deg + 1] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        prod = np.zeros_like(P)
+        for d in range(-deg, deg + 1):
+            at = deg + 1 + d
+            a_d = a_pad[at : at + size]
+            s_d = s_pad[at : at + size]
+            s_next = s_pad[at + 1 : at + 1 + size]
+            # (P J)[i, k] = P[i, k-1] J[k-1, k] + P[i, k] J[k, k] + P[i, k+1] J[k+1, k]
+            prod[at] = P[at - 1] * s_d + P[at] * a_d + P[at + 1] * s_next
+        prod[deg + 1] += c
+        P = prod
+    return P[1:-1]
 
 
 def _stieltjes(rule: QuadratureRule, log_half: np.ndarray, N: int):
@@ -358,9 +464,11 @@ def weighted_sweep(table: RecurrenceTable, pts: np.ndarray):
     kernel diagonal sum over degrees below n. Values below double
     resolution, as in the window's far tails, come out as zero. Raises
     PrecisionLimitError for points outside the window, where the weight is
-    below double resolution.
+    below double resolution, and InvalidParameterError for NaN points.
     """
     pts = np.asarray(pts, dtype=float)
+    if np.isnan(pts).any():
+        raise InvalidParameterError("points must not be NaN")
     rule = table.rule
     if np.any((pts < rule.lo) | (pts > rule.hi)):
         raise PrecisionLimitError(
@@ -397,6 +505,8 @@ def gram_residual(table: RecurrenceTable, upto: int) -> float:
 
     Holds the (upto + 1) x M weighted values on the table's nodes.
     """
+    if not 0 <= upto <= table.N:
+        raise InvalidParameterError(f"upto = {upto} outside the table's degrees 0..{table.N}")
     vals = np.array(
         [cur * np.exp(L) for _, cur, L in _recur(table, table.rule.nodes, upto)]
     )

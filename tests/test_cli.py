@@ -108,6 +108,14 @@ def test_count_command(eynard_config):
     assert out["delta"] == pytest.approx(0.25, abs=1e-12)
 
 
+def test_count_nonpositive_t_is_invalid(eynard_config):
+    # n = 2, s = -8 maps to t = -0.44, where exp(-n V / t) is no weight
+    cp = run_cli("count", "--potential", eynard_config, "--n", "2", "--s", "-8")
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert json.loads(cp.stderr)["kind"] == "invalid-parameter"
+
+
 def test_lambda_fit_command(eynard_config):
     cp = run_cli(
         "lambda-fit", "--potential", eynard_config, "--n", "80", "--s", "1.2",

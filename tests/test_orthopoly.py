@@ -16,10 +16,15 @@ from rmtlab import (
     kernel_matrix,
     make_scaling,
     quadrature_support,
+    string_residual,
 )
+from rmtlab import orthopoly
+from rmtlab.critical import unit_equilibrium
+from rmtlab.equilibrium import log_potential
 from rmtlab.experiments import recurrence_for
 from rmtlab.orthopoly import (
     _gauss_legendre,
+    _log_potential_samples,
     gram_residual,
     kernel_diagonal,
     weighted_sweep,
@@ -283,23 +288,146 @@ def test_eval_weighted_degree_bound(hermite_table):
 
 @pytest.mark.parametrize("total_nodes", [0, 1, 64])
 def test_total_nodes_below_default(eynard3_pot, total_nodes):
-    # fewer nodes than max(2000, 12 n) give a wrong table without an error
+    # fewer nodes than the window-sized default (the 2000-node floor at
+    # n = 40) give a wrong table without an error
     with pytest.raises(InvalidParameterError):
         quadrature_support(eynard3_pot, 40, 1.0, total_nodes=total_nodes)
 
 
 def test_gauss_legendre_rule_cached(eynard3_pot):
-    # the cached rule is leggauss bit for bit, shared, and read-only
-    rule = quadrature_support(eynard3_pot, 320, 1.0)
-    xs, ws = leggauss(120)  # 12 * 320 nodes over 32 panels
-    edges = np.linspace(rule.lo, rule.hi, 33)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    assert np.array_equal(rule.nodes, (mids[:, None] + half[:, None] * xs).ravel())
-    assert np.array_equal(rule.weights, (half[:, None] * ws).ravel())
-    cached = _gauss_legendre(120)
-    assert cached is _gauss_legendre(120)
+    # panels of 63 leggauss nodes, uniform over the window, as many as the
+    # window-sized node count needs (at the 2000-node floor, the former
+    # 32 x 63 rule); the cached rule is shared and read-only
+    eq = unit_equilibrium(eynard3_pot)
+    xs, ws = leggauss(63)
+    for n, panels in ((40, 32), (320, 56)):
+        rule = quadrature_support(eynard3_pot, n, 1.0)
+        count = max(2000, int(np.ceil(5 * n * (rule.hi - rule.lo) / (eq.b - eq.a))))
+        assert -(-count // 63) == panels
+        edges = np.linspace(rule.lo, rule.hi, panels + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        assert np.array_equal(rule.nodes, (mids[:, None] + half[:, None] * xs).ravel())
+        assert np.array_equal(rule.weights, (half[:, None] * ws).ravel())
+    cached = _gauss_legendre()
+    assert cached is _gauss_legendre()
     assert not cached[0].flags.writeable and not cached[1].flags.writeable
+
+
+def _uncached_window(pot, n, t, level=805.0):
+    """The window of quadrature_support with the log potential sampled afresh."""
+    vt = np.asarray(pot.coeffs) / t
+    eq = unit_equilibrium(pot)
+    reach = eq.radius
+    while True:
+        reach *= 2.0
+        x = np.linspace(eq.midpoint - reach, eq.midpoint + reach, 4001)
+        excess = n * (npoly.polyval(x, vt) - 2.0 * log_potential(eq, x) + eq.ell)
+        top = level + max(float(excess.min()), 0.0)
+        if excess[0] > top and excess[-1] > top:
+            break
+    inside = np.flatnonzero(excess <= top)
+    step = x[1] - x[0]
+    lo, hi = x[inside[0]] - step, x[inside[-1]] + step
+    pad = 0.05 * (hi - lo)
+    return lo - pad, hi + pad
+
+
+@pytest.mark.parametrize("n", [40, 160, 2560])
+def test_log_potential_samples_cached(eynard3_pot, n):
+    t = make_scaling(eynard3_pot, n, 1.0).t
+    rule = quadrature_support(eynard3_pot, n, t)
+    assert (rule.lo, rule.hi) == _uncached_window(eynard3_pot, n, t)
+    x, two_u = _log_potential_samples(eynard3_pot.coeffs, 1)
+    assert not x.flags.writeable and not two_u.flags.writeable
+    assert _log_potential_samples(eynard3_pot.coeffs, 1)[1] is two_u
+
+
+@pytest.mark.parametrize("n", [160, 800, 2560])
+def test_string_residual_ladder(eynard3_pot, n):
+    # the default rule passes the string equations with no refinement
+    table = _ladder_table(eynard3_pot, n)
+    diag, off = string_residual(table)
+    assert diag <= 1e-12 * n and off <= 1e-12
+    assert table.rule.nodes.size == quadrature_support(eynard3_pot, n, table.t).nodes.size
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_string_residual_hermite(quadratic, t):
+    # for V = x^2 the off-diagonal equation is beta_j = j t / (2n)
+    n = 800
+    table = build_recurrence(quadratic, n, t, n)
+    diag, off = string_residual(table)
+    assert diag <= 1e-12 * n and off <= 1e-12
+    assert table.rule.nodes.size == quadrature_support(quadratic, n, t).nodes.size
+    j = np.arange(1, n)
+    assert off == pytest.approx(np.abs(2.0 * n * table.beta[j] / (t * j) - 1.0).max(), abs=1e-14)
+
+
+def test_string_residual_flags_coarse_rule(eynard3_pot, monkeypatch):
+    # 4 n nodes give a table off by O(1), and the residual says so
+    n = 640
+    t = make_scaling(eynard3_pot, n, 1.0).t
+    monkeypatch.setattr(orthopoly, "_NODES_PER_BAND", 2)
+    monkeypatch.setattr(orthopoly, "_STRING_TOL", np.inf)
+    coarse = build_recurrence(eynard3_pot, n, t, n)
+    monkeypatch.undo()
+    assert coarse.rule.nodes.size < 5 * n
+    diag, off = string_residual(coarse)
+    assert diag > 1.0 and off > 1e-3
+
+
+def test_coarse_rule_refined(eynard3_pot, monkeypatch):
+    n = 640
+    table = _ladder_table(eynard3_pot, n)
+    monkeypatch.setattr(orthopoly, "_NODES_PER_BAND", 2)
+    coarse = quadrature_support(eynard3_pot, n, table.t)
+    refined = build_recurrence(eynard3_pot, n, table.t, n)
+    assert refined.rule.nodes.size >= 4 * coarse.nodes.size
+    assert np.max(np.abs(refined.alpha - table.alpha)) < 1e-12
+    assert np.max(np.abs(refined.beta - table.beta)) < 1e-12
+
+
+def test_coarse_rule_out_of_attempts(eynard3_pot, monkeypatch):
+    n = 640
+    t = make_scaling(eynard3_pot, n, 1.0).t
+    monkeypatch.setattr(orthopoly, "_NODES_PER_BAND", 2)
+    monkeypatch.setattr(orthopoly, "_WIDENINGS", 1)
+    with pytest.raises(PrecisionLimitError, match="string equations"):
+        build_recurrence(eynard3_pot, n, t, n)
+
+
+def test_string_residual_short_table(quadratic, eynard3_pot):
+    # with N below deg V_t' no degree is checked; N = deg V_t' checks j = 0
+    assert string_residual(build_recurrence(eynard3_pot, 10, 1.0, 2)) == (0.0, 0.0)
+    diag, off = string_residual(build_recurrence(quadratic, 10, 1.0, 1))
+    assert diag < 1e-12 and off == 0.0
+
+
+@pytest.mark.parametrize("t", [0.0, -0.44, np.nan, np.inf])
+def test_invalid_t(quadratic, t):
+    with pytest.raises(InvalidParameterError):
+        quadrature_support(quadratic, 10, t)
+    with pytest.raises(InvalidParameterError):
+        build_recurrence(quadratic, 10, t, 10)
+
+
+def test_negative_degree(quadratic):
+    with pytest.raises(InvalidParameterError):
+        build_recurrence(quadratic, 10, 1.0, -1)
+
+
+def test_gram_residual_degree_bound(hermite_table):
+    for upto in (-1, 13):
+        with pytest.raises(InvalidParameterError):
+            gram_residual(hermite_table, upto)
+
+
+def test_weighted_sweep_nan(hermite_table):
+    with pytest.raises(InvalidParameterError):
+        weighted_sweep(hermite_table, [0.0, np.nan])
+    with pytest.raises(InvalidParameterError):
+        kernel_matrix(hermite_table, [np.nan])
 
 
 def test_weighted_value_sentinel():

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.legendre import leggauss
 
 from . import equilibrium
 from .equilibrium import EquilibriumData
@@ -22,6 +22,7 @@ from .errors import (
 from .potential import Potential
 
 _PHI_TOL = 1e-6
+_SLOPE_TOL = 1e-8  # |h'| below this at x* is a higher-order zero
 _MAX_ABS_S = 8.0
 _GAP_FRACTION = 0.1  # required clearance b'_{n,t} < x* - this
 
@@ -123,7 +124,10 @@ def _geometry_cached(coeffs: tuple) -> tuple[float, float, float]:
             if abs(r.imag) < 1e-8 and eq.b < r.real <= window_hi
         }
     )
-    candidates = [x for x in real if abs(equilibrium.phi(eq, x)) < _PHI_TOL]
+    # phi' = -sqrt((x-a)(x-b)) h(x): where h falls through zero, phi has a
+    # local minimum below zero, never an equality point
+    rising = [x for x in real if npoly.polyval(x, dh) >= -_SLOPE_TOL]
+    candidates = [x for x in rising if abs(equilibrium.phi(eq, x)) < _PHI_TOL]
     if not candidates:
         raise NoSingularPointError(
             "no exterior double zero of q with vanishing effective potential"
@@ -133,13 +137,10 @@ def _geometry_cached(coeffs: tuple) -> tuple[float, float, float]:
             f"multiple candidate points {candidates}; not a single-point geometry"
         )
     x_star = candidates[0]
-    if abs(npoly.polyval(x_star, dh)) < 1e-8:
+    if abs(npoly.polyval(x_star, dh)) < _SLOPE_TOL:
         raise WrongOrderError(
             "q vanishes to higher order; only double zeros are supported"
         )
-    qdd = _q_second_derivative(eq, x_star)
-    if qdd <= 0:
-        raise WrongOrderError(f"q''({x_star}) = {qdd} is not positive")
     return x_star, scaling_J(eq.a, eq.b, x_star), curvature_c(Potential(coeffs), x_star)
 
 
@@ -147,65 +148,45 @@ def detect_singular(potential: Potential) -> float:
     """Locate the exterior point beyond b where q has a double zero and the
     effective-potential equality holds.
 
-    Candidates are the real zeros of h in (b, b + 10(b-a)]; the signed
-    integral phi separates the genuine gap-closing point (phi = 0) from
-    the intermediate double zero where the square-root branch flips sign.
+    Candidates are the real zeros of h in (b, b + 10(b-a)] where h does
+    not fall (h' >= -1e-8): since phi' = -sqrt((x-a)(x-b)) h, a zero where
+    h falls is a local minimum of phi below zero, the intermediate double
+    zero where the square-root branch flips sign, however close to zero
+    phi is there. Of the rest, the one with |phi| < 1e-6 is the
+    gap-closing point; it must be a simple zero of h (|h'| >= 1e-8).
     The point, with J and c, is computed once per potential; a potential
     without a valid point raises its typed error on every call.
     """
     return _geometry_cached(potential.coeffs)[0]
 
 
-def _q_second_derivative(eq: EquilibriumData, x: float) -> float:
-    """Central second difference of q with one Richardson step."""
-    step = 1e-4 * (eq.b - eq.a)
-
-    def second(hh: float) -> float:
-        return (
-            equilibrium.q_eval(eq, x + hh)
-            - 2.0 * equilibrium.q_eval(eq, x)
-            + equilibrium.q_eval(eq, x - hh)
-        ) / (hh * hh)
-
-    d1 = second(step)
-    d2 = second(step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
-
-
 def curvature_c(potential: Potential, x_star: float) -> float:
-    """Rescaling curvature c = sqrt(q''(x_star)) / sqrt(2)."""
+    """Rescaling curvature c = sqrt(q''(x_star)) / sqrt(2).
+
+    q'' is exact: the product rule on q = P h^2 with P = (z-a)(z-b) from
+    the unit measure, h and its derivatives by Horner's rule. At a simple
+    zero of h it is 2 P(x_star) h'(x_star)^2.
+    """
     eq = unit_equilibrium(potential)
-    qdd = _q_second_derivative(eq, x_star)
+    h = np.asarray(eq.h_coeffs)
+    P, dP = (x_star - eq.a) * (x_star - eq.b), 2.0 * x_star - eq.a - eq.b
+    H, dH, ddH = (npoly.polyval(x_star, npoly.polyder(h, k)) for k in range(3))
+    qdd = 2.0 * H * H + 4.0 * dP * H * dH + 2.0 * P * (dH * dH + H * ddH)
     if qdd <= 0:
         raise WrongOrderError(f"q''({x_star}) = {qdd} is not positive")
     return float(np.sqrt(qdd) / np.sqrt(2.0))
 
 
-_J_NODES = leggauss(64)
-
-
 def scaling_J(a: float, b: float, x_star: float) -> float:
-    """J = int_b^{x_star} dx / sqrt((x-a)(x-b)), via x = b + u^2."""
+    """J = int_b^{x_star} dx / sqrt((x-a)(x-b)) = 2 asinh(sqrt((x_star-b)/(b-a))).
+
+    x = b + (b-a) sinh^2(u) makes the integrand 2 du. The asinh form keeps
+    full relative precision as x_star approaches b, where arccosh of a
+    number near 1 would not.
+    """
     if not a < b < x_star:
         raise InvalidParameterError(f"need a < b < x_star, got {a}, {b}, {x_star}")
-    xs, ws = _J_NODES
-
-    def fixed(panels: int) -> float:
-        span = np.sqrt(x_star - b)
-        edges = np.linspace(0.0, span, panels + 1)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xs
-            total += 0.5 * (hi - lo) * np.sum(ws * 2.0 / np.sqrt(u * u + (b - a)))
-        return total
-
-    val = fixed(2)
-    for panels in (4, 8, 16):
-        nxt = fixed(panels)
-        if abs(nxt - val) < 1e-13 * (1.0 + abs(nxt)):
-            return nxt
-        val = nxt
-    return val
+    return 2.0 * math.asinh(math.sqrt((x_star - b) / (b - a)))
 
 
 def t_to_s(t: float, n: int, J: float) -> float:

@@ -17,7 +17,9 @@ Logarithmic potentials are evaluated through the finite Chebyshev
 expansion of G(y) = (b-y)(y-a) h(y): against the arcsine measure of
 [a, b] the log kernel acts diagonally on Chebyshev polynomials, which
 turns int log|x-y| dmu(y) into a short exact sum for every real x and
-analogously int log(z-y) dmu(y) for complex z.
+analogously int log(z-y) dmu(y) for complex z. The effective potential
+phi beyond b is half the variational residual there, so it comes from
+the same exact sum.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from math import comb
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     BranchCutError,
@@ -302,48 +303,20 @@ def variational_residual(eq: EquilibriumData, x):
     return 2.0 * log_potential(eq, x) - eq.vt(x) - eq.ell
 
 
-_PHI_NODES = leggauss(64)
-
-
-def _phi_fixed(eq: EquilibriumData, x: float, panels: int) -> float:
-    """Signed integral -int_b^x sqrt((s-a)(s-b)) h(s) ds with s = b + u^2.
-
-    The substitution removes the square-root edge factor; evaluating h
-    directly keeps the sign of the square root of q correct through any
-    double zeros between b and x.
-    """
-    span = np.sqrt(x - eq.b)
-    xs, ws = _PHI_NODES
-    total = 0.0
-    edges = np.linspace(0.0, span, panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xs
-        s = eq.b + u * u
-        integrand = 2.0 * u * u * np.sqrt(s - eq.a) * eq.h(s)
-        total += 0.5 * (hi - lo) * np.sum(ws * integrand)
-    return -total
-
-
 def phi(eq: EquilibriumData, x: float) -> float:
     """phi(x) = -int_b^x q^{1/2}(s) ds for x >= b, with the signed branch.
 
     phi(b) = 0 and phi < 0 just beyond b; the sign of q^{1/2} follows h,
-    so phi climbs back to zero exactly at a gap-closing point. Panel count
-    doubles until two refinements agree to 1e-12 relative.
+    so phi climbs back to zero exactly at a gap-closing point. Beyond b the
+    variational residual r = 2 U - V_t - ell has r' = 2 U' - V_t' =
+    -2 sqrt((x-a)(x-b)) h(x) and r(b) = 0, so phi = r / 2 exactly, through
+    any zeros of h; r comes from the exact Chebyshev log-kernel sum.
     """
     if x < eq.b - 1e-12 * (1.0 + abs(eq.b)):
         raise InvalidParameterError(f"phi requires x >= b = {eq.b}, got {x}")
     if x <= eq.b:
         return 0.0
-    panels = 4
-    val = _phi_fixed(eq, x, panels)
-    for _ in range(4):
-        nxt = _phi_fixed(eq, x, panels * 2)
-        if abs(nxt - val) <= 1e-12 * (1.0 + abs(nxt)):
-            return nxt
-        panels *= 2
-        val = nxt
-    return val
+    return 0.5 * float(variational_residual(eq, x))
 
 
 def g_function(eq: EquilibriumData, point_mass: float, x_star_nt: float, z) -> complex:

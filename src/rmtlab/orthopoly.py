@@ -219,7 +219,6 @@ def build_recurrence(
     n: int,
     t: float,
     N: int,
-    total_nodes: int | None = None,
 ) -> RecurrenceTable:
     """Recurrence coefficients for degrees 0..N of the weight exp(-n V_t).
 
@@ -243,7 +242,7 @@ def build_recurrence(
     if not 0 <= N <= 1.2 * n + 10:
         raise InvalidParameterError(f"N = {N} outside 0..1.2 n + 10 for n = {n}")
     vt = np.asarray(potential.coeffs) / t
-    level, total = _LEVEL, total_nodes
+    level, total = _LEVEL, None
     for _ in range(_WIDENINGS):
         rule = quadrature_support(potential, n, t, total, level=level)
         log_half = -0.5 * n * (npoly.polyval(rule.nodes, vt) - rule.vt_min)
@@ -251,7 +250,7 @@ def build_recurrence(
         if edge > _EDGE_TOL:
             failure = f"degree-{N} polynomials still carry weight {edge:.1e} at the window ends"
             level *= 2.0
-            total = total_nodes
+            total = None
             continue
         table = RecurrenceTable(
             potential=potential,
@@ -391,8 +390,11 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
     far tails a low-degree value can underflow to zero; it is then below
     double resolution next to the values of higher degree, which regrow
     from the mantissa. No yielded array is written to later, so callers
-    may keep them.
+    may keep them. Raises InvalidParameterError for NaN points, on the
+    first step, so every evaluation refuses them.
     """
+    if np.isnan(pts).any():
+        raise InvalidParameterError("points must not be NaN")
     sb = np.sqrt(table.beta)
     L = table.log_gamma0 + table.log_weight_half(pts)
     prev = np.zeros_like(pts)
@@ -467,8 +469,6 @@ def weighted_sweep(table: RecurrenceTable, pts: np.ndarray):
     below double resolution, and InvalidParameterError for NaN points.
     """
     pts = np.asarray(pts, dtype=float)
-    if np.isnan(pts).any():
-        raise InvalidParameterError("points must not be NaN")
     rule = table.rule
     if np.any((pts < rule.lo) | (pts > rule.hi)):
         raise PrecisionLimitError(

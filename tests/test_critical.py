@@ -23,8 +23,6 @@ from rmtlab import (
     t_to_s,
     unit_equilibrium,
 )
-from rmtlab.critical import _q_second_derivative
-from rmtlab.equilibrium import _phi_fixed
 
 # the reduced-mass realization warnings are expected behavior at these sizes
 pytestmark = pytest.mark.filterwarnings("ignore:reduced-mass band")
@@ -54,13 +52,14 @@ def test_detect_rejects_intermediate_zero(eynard3):
     assert abs(phi(eq, ee)) > 1e-4  # sign-flip point, not an equality point
 
 
-def test_detect_stable_under_quadrature_refinement(eynard3):
-    pot, ee = eynard3
+@pytest.mark.parametrize("e", [2.02, 2.05])
+def test_detect_near_band_edge(e):
+    # the intermediate zero ee sits so close to b that |phi(ee)| < 1e-6;
+    # h falls through zero there, so it is no candidate
+    pot, ee = make_eynard(e)
     eq = unit_equilibrium(pot)
-    for x in (ee, 3.0):
-        coarse = _phi_fixed(eq, x, 8)
-        fine = _phi_fixed(eq, x, 16)
-        assert abs(coarse - fine) < 1e-10
+    assert abs(phi(eq, ee)) < 1e-6
+    assert abs(detect_singular(pot) - e) < 1e-10
 
 
 def test_curvature_cross_check(eynard3_pot):
@@ -71,10 +70,12 @@ def test_curvature_cross_check(eynard3_pot):
     assert abs(c - f_prime**2) / c < 1e-4
 
 
-def test_curvature_fd_matches_exact(eynard3_pot):
-    eq = unit_equilibrium(eynard3_pot)
-    x_star = detect_singular(eynard3_pot)
-    assert abs(_q_second_derivative(eq, x_star) - exact_q_second(eq, x_star)) < 1e-9
+@pytest.mark.parametrize("e", [2.5, 3.0, 4.0])
+def test_curvature_eynard_closed_form(e):
+    # q = (x^2 - 4) (x - e)^2 (x - ee)^2 / (1 + e ee)^2 for the eynard field
+    pot, ee = make_eynard(e)
+    closed = np.sqrt(e * e - 4.0) * abs(e - ee) / (2.0 * (1.0 + e * ee))
+    assert abs(curvature_c(pot, detect_singular(pot)) - closed) < 1e-12 * closed
 
 
 def test_curvature_dilation_scaling(eynard3_pot):
@@ -100,6 +101,11 @@ def test_curvature_positive(e):
 def test_scaling_J_closed_form():
     oracle = 2.0 * np.log((1.0 + np.sqrt(5.0)) / 2.0)
     assert abs(scaling_J(-2.0, 2.0, 3.0) - oracle) < 1e-10
+    # near the edge J = 2 sqrt((x - b) / (b - a)) (1 - (x - b) / (6 (b - a)) + ...)
+    x = 2.0 + 1e-10
+    gap = x - 2.0  # exact
+    oracle = 2.0 * np.sqrt(gap / 4.0) * (1.0 - gap / 24.0)
+    assert abs(scaling_J(-2.0, 2.0, x) - oracle) < 1e-14 * oracle
 
 
 def test_scaling_J_shrinking_window():

@@ -160,10 +160,13 @@ def test_constant_rescale_invariance(quadratic):
         assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
 
 
-def test_node_doubling_stability(quadratic, eynard3_pot):
+def test_node_doubling_stability(quadratic, eynard3_pot, monkeypatch):
     for pot, n in ((quadratic, 10), (eynard3_pot, 40)):
         t1 = build_recurrence(pot, n, 1.0, n)
-        t2 = build_recurrence(pot, n, 1.0, n, total_nodes=8000)
+        with monkeypatch.context() as m:
+            m.setattr(orthopoly, "_MIN_NODES", 8000)
+            t2 = build_recurrence(pot, n, 1.0, n)
+        assert t2.rule.nodes.size >= 8000 > t1.rule.nodes.size
         pts = np.linspace(-1.0, 1.0, 7)
         k1 = kernel_matrix(t1, pts)
         k2 = kernel_matrix(t2, pts)
@@ -266,11 +269,11 @@ def test_gram_residual_at_degree_n(eynard3_pot):
 
 
 @pytest.mark.parametrize("n", [800, 2560])
-def test_node_doubling_large_n(eynard3_pot, n):
+def test_node_doubling_large_n(eynard3_pot, n, monkeypatch):
     table = _ladder_table(eynard3_pot, n)
-    finer = build_recurrence(
-        eynard3_pot, n, table.t, n, total_nodes=2 * len(table.rule.nodes)
-    )
+    monkeypatch.setattr(orthopoly, "_NODES_PER_BAND", 2 * orthopoly._NODES_PER_BAND)
+    finer = build_recurrence(eynard3_pot, n, table.t, n)
+    assert finer.rule.nodes.size >= 2 * (table.rule.nodes.size - orthopoly._ORDER)
     assert np.max(np.abs(finer.beta - table.beta)) < 1e-12
     assert np.max(np.abs(finer.alpha - table.alpha)) < 1e-12
 
@@ -428,6 +431,23 @@ def test_weighted_sweep_nan(hermite_table):
         weighted_sweep(hermite_table, [0.0, np.nan])
     with pytest.raises(InvalidParameterError):
         kernel_matrix(hermite_table, [np.nan])
+
+
+@pytest.mark.parametrize("x, y", [(np.nan, 0.1), (0.1, np.nan), (np.nan, np.nan)])
+def test_scalar_kernel_nan(hermite_table, x, y):
+    from rmtlab.orthopoly import _kernel_confluent
+
+    # NaN never passes the diagonal switch, so the confluent sum is called directly
+    with pytest.raises(InvalidParameterError):
+        kernel(hermite_table, x, y)
+    with pytest.raises(InvalidParameterError):
+        _kernel_confluent(hermite_table, x, y)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_eval_weighted_nan(hermite_table, k):
+    with pytest.raises(InvalidParameterError):
+        eval_weighted(hermite_table, k, np.nan)
 
 
 def test_weighted_value_sentinel():

@@ -4,32 +4,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, fields
 
 import numpy as np
 
 from . import critical, equilibrium, experiments, gue, potential as potmod
 from .errors import RmtlabError
-from .experiments import GridSpec
+from .experiments import GridSpec, SweepRow
 from .serialize import csv_text, json_dumps
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    potential_path: str | None = None
-    mass: float = 1.0
-    t: float = 1.0
-    n: int | None = None
-    s: float | None = None
-    k: int | None = None
-    delta: float | None = None
-    grid: GridSpec | None = None
-    n_list: tuple[int, ...] | None = None
-    s_list: tuple[float, ...] | None = None
-    out: str | None = None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -38,76 +23,6 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rmtlab",
-        description=(
-            "Finite-n eigenvalue correlation kernels of unitary-invariant "
-            "ensembles near a nucleating spectral band"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # let values like "-3,3,0.25" pass as arguments, not option strings
-    numberish = re.compile(r"^-[\d.][\d.,eE+-]*$")
-    parser._negative_number_matcher = numberish
-
-    def add(name, help_text, *flags):
-        p = sub.add_parser(name, help=help_text)
-        p._negative_number_matcher = numberish
-        if "potential" in flags:
-            p.add_argument("--potential", required=True, help="potential config JSON path")
-        if "mass" in flags:
-            p.add_argument("--mass", type=float, default=1.0)
-        if "t" in flags:
-            p.add_argument("--t", type=float, default=1.0)
-        if "n" in flags:
-            p.add_argument("--n", type=int, required=True)
-        if "s" in flags:
-            p.add_argument("--s", type=float, required=True)
-        if "k" in flags:
-            p.add_argument("--k", type=int, default=None)
-        if "k_req" in flags:
-            p.add_argument("--k", type=int, required=True)
-        if "delta" in flags:
-            p.add_argument("--delta", type=float, default=None)
-        if "grid" in flags:
-            p.add_argument("--grid", type=GridSpec.from_string, default=GridSpec(-3.0, 3.0, 0.25))
-        if "lists" in flags:
-            p.add_argument("--n-list", type=_int_list, required=True)
-            p.add_argument("--s-list", type=_float_list, required=True)
-        p.add_argument("--out", default=None)
-        return p
-
-    add("eqm", "solve the one-cut measure and print its data", "potential", "mass", "t")
-    add("detect", "locate the gap-closing point and scaling constants", "potential")
-    add("kernel", "rescaled kernel grid as CSV", "potential", "n", "s", "grid")
-    add("gue", "finite-size GUE kernel grid as CSV", "k_req", "grid")
-    add("psi", "local model matrix diagnostics", "k_req")
-    add("compare", "rescaled kernel vs GUE kernel report", "potential", "n", "s", "k", "grid")
-    add("sweep", "convergence sweep over n and s as CSV", "potential", "lists", "grid")
-    add("lambda-fit", "two-kernel interpolation weights", "potential", "n", "s", "k", "grid")
-    add("count", "expected eigenvalues near the gap point", "potential", "n", "s", "delta")
-    return parser
-
-
-def parse_args(argv: list[str]) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        potential_path=getattr(ns, "potential", None),
-        mass=getattr(ns, "mass", 1.0),
-        t=getattr(ns, "t", 1.0),
-        n=getattr(ns, "n", None),
-        s=getattr(ns, "s", None),
-        k=getattr(ns, "k", None),
-        delta=getattr(ns, "delta", None),
-        grid=getattr(ns, "grid", None),
-        n_list=getattr(ns, "n_list", None),
-        s_list=getattr(ns, "s_list", None),
-        out=ns.out,
-    )
 
 
 def _load_potential(path: str):
@@ -125,13 +40,13 @@ def _grid_csv(grid: GridSpec, values: np.ndarray) -> str:
     return csv_text(["u", "v", "value"], rows)
 
 
-def _run_eqm(cfg: RunConfig) -> str:
-    eq = equilibrium.solve(_load_potential(cfg.potential_path), cfg.t, cfg.mass)
+def _run_eqm(args) -> str:
+    eq = equilibrium.solve(_load_potential(args.potential), args.t, args.mass)
     return json_dumps(eq.json_dict()) + "\n"
 
 
-def _run_detect(cfg: RunConfig) -> str:
-    pot = _load_potential(cfg.potential_path)
+def _run_detect(args) -> str:
+    pot = _load_potential(args.potential)
     x_star = critical.detect_singular(pot)
     eq = critical.unit_equilibrium(pot)
     out = {
@@ -144,24 +59,21 @@ def _run_detect(cfg: RunConfig) -> str:
     return json_dumps(out) + "\n"
 
 
-def _run_kernel(cfg: RunConfig) -> str:
-    pot = _load_potential(cfg.potential_path)
-    values = experiments.rescaled_kernel(pot, cfg.n, cfg.s, cfg.grid)
-    return _grid_csv(cfg.grid, values)
+def _run_kernel(args) -> str:
+    pot = _load_potential(args.potential)
+    return _grid_csv(args.grid, experiments.rescaled_kernel(pot, args.n, args.s, args.grid))
 
 
-def _run_gue(cfg: RunConfig) -> str:
-    return _grid_csv(cfg.grid, gue.gue_kernel_grid(cfg.k, cfg.grid.points()))
+def _run_gue(args) -> str:
+    return _grid_csv(args.grid, gue.gue_kernel_grid(args.k, args.grid.points()))
 
 
-def _run_psi(cfg: RunConfig) -> str:
-    k = cfg.k
+def _run_psi(args) -> str:
+    k = args.k
     samples = [2j, -1.5j, 1 + 1j, -2 + 0.5j, 0.3 + 0.2j, 3 - 1j, 0.05j, 5 + 5j, -4 - 2j, 0.7 + 3j]
     det_err = max(abs(gue.psi_matrix(z, k).det - 1.0) for z in samples)
     zeta = 20j
     m = gue.psi_matrix(zeta, k).entries
-    import math
-
     c12 = zeta * (m[0, 1] * np.exp(-zeta * zeta / 2.0) * zeta**k)
     c21 = zeta * (m[1, 0] * np.exp(zeta * zeta / 2.0) * zeta ** (-k))
     t12 = 1j * math.factorial(k) / (2 ** (k + 1) * np.sqrt(np.pi))
@@ -175,16 +87,21 @@ def _run_psi(cfg: RunConfig) -> str:
     return json_dumps(out) + "\n"
 
 
-def _run_compare(cfg: RunConfig) -> str:
-    pot = _load_potential(cfg.potential_path)
-    params = critical.make_scaling(pot, cfg.n, cfg.s)
-    values = experiments.rescaled_kernel(pot, cfg.n, cfg.s, cfg.grid)
-    k = cfg.k if cfg.k is not None else params.k
-    report = experiments.compare_to_gue(values, cfg.grid, k, n=cfg.n, s=cfg.s)
+def _kernel_and_k(args) -> tuple[np.ndarray, int]:
+    """The rescaled kernel grid and the GUE size: --k, else the k-rule."""
+    pot = _load_potential(args.potential)
+    params = critical.make_scaling(pot, args.n, args.s)
+    values = experiments.rescaled_kernel(pot, args.n, args.s, args.grid)
+    return values, params.k if args.k is None else args.k
+
+
+def _run_compare(args) -> str:
+    values, k = _kernel_and_k(args)
+    report = experiments.compare_to_gue(values, args.grid, k, n=args.n, s=args.s)
     out = {
-        "grid_max": cfg.grid.u_max,
-        "grid_min": cfg.grid.u_min,
-        "grid_step": cfg.grid.step,
+        "grid_max": args.grid.u_max,
+        "grid_min": args.grid.u_min,
+        "grid_step": args.grid.step,
         "k": report.k,
         "l2_error": report.l2_error,
         "n": report.n,
@@ -194,83 +111,107 @@ def _run_compare(cfg: RunConfig) -> str:
     return json_dumps(out) + "\n"
 
 
-def _run_sweep(cfg: RunConfig) -> str:
-    pot = _load_potential(cfg.potential_path)
-    rows = experiments.convergence_sweep(pot, cfg.n_list, cfg.s_list, cfg.grid)
-    return csv_text(
-        [
-            "n",
-            "s",
-            "k",
-            "delta",
-            "sup_error",
-            "l2_error",
-            "lambda_plus",
-            "expected_count",
-            "decay_exponent",
-        ],
-        [
-            (
-                r.n,
-                r.s,
-                r.k,
-                r.delta,
-                r.sup_error,
-                r.l2_error,
-                r.lambda_plus,
-                r.expected_count,
-                r.decay_exponent,
-            )
-            for r in rows
-        ],
+def _run_sweep(args) -> str:
+    pot = _load_potential(args.potential)
+    rows = experiments.convergence_sweep(pot, args.n_list, args.s_list, args.grid)
+    return csv_text([f.name for f in fields(SweepRow)], [astuple(r) for r in rows])
+
+
+def _run_lambda_fit(args) -> str:
+    values, k = _kernel_and_k(args)
+    out = experiments.lambda_fit(values, args.grid, k).json_dict()
+    out.update({"k": k, "n": args.n, "s": args.s})
+    return json_dumps(out) + "\n"
+
+
+def _run_count(args) -> str:
+    pot = _load_potential(args.potential)
+    delta = args.delta
+    if delta is None:
+        delta = experiments.count_delta(critical.make_scaling(pot, args.n, args.s))
+    count = experiments.expected_count(pot, args.n, args.s, delta)
+    out = {"count": count, "delta": delta, "n": args.n, "s": args.s}
+    return json_dumps(out) + "\n"
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rmtlab",
+        description=(
+            "Finite-n eigenvalue correlation kernels of unitary-invariant "
+            "ensembles near a nucleating spectral band"
+        ),
     )
+    # option groups shared by several subcommands; argparse copies a
+    # subparser's parents, in order, ahead of its own options, and the
+    # options keep that order in usage and help
+    potential = argparse.ArgumentParser(add_help=False)
+    potential.add_argument("--potential", required=True, help="potential config JSON path")
+    n_s = argparse.ArgumentParser(add_help=False)
+    n_s.add_argument("--n", type=int, required=True)
+    n_s.add_argument("--s", type=float, required=True)
+    k_required = argparse.ArgumentParser(add_help=False)
+    k_required.add_argument("--k", type=int, required=True)
+    k_rule = argparse.ArgumentParser(add_help=False)
+    k_rule.add_argument("--k", type=int, default=None)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=GridSpec.from_string, default=GridSpec(-3.0, 3.0, 0.25))
+
+    sub = parser.add_subparsers(dest="command", required=True)
+    eqm = sub.add_parser("eqm", help="solve the one-cut measure and print its data", parents=[potential])
+    eqm.add_argument("--mass", type=float, default=1.0)
+    eqm.add_argument("--t", type=float, default=1.0)
+    eqm.set_defaults(handler=_run_eqm)
+    detect = sub.add_parser(
+        "detect", help="locate the gap-closing point and scaling constants", parents=[potential]
+    )
+    detect.set_defaults(handler=_run_detect)
+    kernel = sub.add_parser("kernel", help="rescaled kernel grid as CSV", parents=[potential, n_s, grid])
+    kernel.set_defaults(handler=_run_kernel)
+    gue_grid = sub.add_parser("gue", help="finite-size GUE kernel grid as CSV", parents=[k_required, grid])
+    gue_grid.set_defaults(handler=_run_gue)
+    psi = sub.add_parser("psi", help="local model matrix diagnostics", parents=[k_required])
+    psi.set_defaults(handler=_run_psi)
+    compare = sub.add_parser(
+        "compare", help="rescaled kernel vs GUE kernel report", parents=[potential, n_s, k_rule, grid]
+    )
+    compare.set_defaults(handler=_run_compare)
+    sweep = sub.add_parser(
+        "sweep", help="convergence sweep over n and s as CSV", parents=[potential, grid]
+    )
+    sweep.add_argument("--n-list", type=_int_list, required=True)
+    sweep.add_argument("--s-list", type=_float_list, required=True)
+    sweep.set_defaults(handler=_run_sweep)
+    lambda_fit = sub.add_parser(
+        "lambda-fit", help="two-kernel interpolation weights", parents=[potential, n_s, k_rule, grid]
+    )
+    lambda_fit.set_defaults(handler=_run_lambda_fit)
+    count = sub.add_parser(
+        "count", help="expected eigenvalues near the gap point", parents=[potential, n_s]
+    )
+    count.add_argument("--delta", type=float, default=None)
+    count.set_defaults(handler=_run_count)
+
+    # let values like "-3,3,0.25" pass as arguments, not option strings
+    numberish = re.compile(r"^-[\d.][\d.,eE+-]*$")
+    parser._negative_number_matcher = numberish
+    for p in sub.choices.values():
+        p._negative_number_matcher = numberish
+        p.add_argument("--out", default=None)
+    return parser
 
 
-def _run_lambda_fit(cfg: RunConfig) -> str:
-    pot = _load_potential(cfg.potential_path)
-    params = critical.make_scaling(pot, cfg.n, cfg.s)
-    values = experiments.rescaled_kernel(pot, cfg.n, cfg.s, cfg.grid)
-    k = cfg.k if cfg.k is not None else params.k
-    fit = experiments.lambda_fit(values, cfg.grid, k)
-    out = fit.json_dict()
-    out.update({"k": k, "n": cfg.n, "s": cfg.s})
-    return json_dumps(out) + "\n"
-
-
-def _run_count(cfg: RunConfig) -> str:
-    pot = _load_potential(cfg.potential_path)
-    params = critical.make_scaling(pot, cfg.n, cfg.s)
-    eq = critical.unit_equilibrium(pot)
-    delta = cfg.delta if cfg.delta is not None else (params.x_star - eq.b) / 4.0
-    count = experiments.expected_count(pot, cfg.n, cfg.s, delta)
-    out = {"count": count, "delta": delta, "n": cfg.n, "s": cfg.s}
-    return json_dumps(out) + "\n"
-
-
-_DISPATCH = {
-    "eqm": _run_eqm,
-    "detect": _run_detect,
-    "kernel": _run_kernel,
-    "gue": _run_gue,
-    "psi": _run_psi,
-    "compare": _run_compare,
-    "sweep": _run_sweep,
-    "lambda-fit": _run_lambda_fit,
-    "count": _run_count,
-}
-
-
-def run(cfg: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        text = _DISPATCH[cfg.command](cfg)
+        text = args.handler(args)
     except RmtlabError as exc:
         sys.stderr.write(json_dumps({"error": str(exc), "kind": exc.kind}) + "\n")
         return 1
     except FileNotFoundError as exc:
         sys.stderr.write(json_dumps({"error": str(exc), "kind": "io"}) + "\n")
         return 1
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -278,8 +219,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    return run(cfg)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -159,6 +159,12 @@ def lambda_fit(values: np.ndarray, grid: GridSpec, k: int) -> LambdaFit:
 _COUNT_GL = leggauss(200)
 
 
+def count_delta(params: ScalingParams) -> float:
+    """Default half-width of the count window: a quarter of the gap between
+    the unit band's edge b and x*."""
+    return (params.x_star - critical.unit_equilibrium(params.potential).b) / 4.0
+
+
 def expected_count(
     potential: Potential,
     n: int,
@@ -167,13 +173,13 @@ def expected_count(
 ) -> float:
     """Integral of the kernel diagonal over [x*-delta, x*+delta].
 
-    Counts the eigenvalues sitting in the nucleating band; default window
-    is a quarter of the gap between the band edge and x*.
+    Counts the eigenvalues sitting in the nucleating band; the default
+    window is count_delta's.
     """
     params = critical.make_scaling(potential, n, s)
     eq = critical.unit_equilibrium(potential)
     if delta is None:
-        delta = (params.x_star - eq.b) / 4.0
+        delta = count_delta(params)
     if delta <= 0 or params.x_star - delta <= eq.b:
         raise InvalidParameterError(
             f"window half-width {delta} overlaps the band [a, b]"
@@ -207,7 +213,6 @@ def convergence_sweep(
     Rows whose computation fails carry NaNs; the sweep continues.
     """
     rows: list[SweepRow] = []
-    pts = grid.points()
     for s in s_list:
         partial = []
         for n in n_list:
@@ -215,44 +220,28 @@ def convergence_sweep(
                 params = critical.make_scaling(potential, n, s)
                 values = rescaled_kernel(potential, n, s, grid)
                 j, sup = best_single_index(values, grid)
-                diff = values - gue.gue_kernel_grid(j, pts)
-                l2 = float(grid.step * np.sqrt(np.sum(diff * diff)))
-                lam = lambda_fit(values, grid, params.k).lambda_plus
-                count = expected_count(potential, n, s)
-                partial.append(
-                    dict(
-                        n=n,
-                        s=float(s),
-                        k=params.k,
-                        delta=params.delta,
-                        sup_error=sup,
-                        l2_error=l2,
-                        lambda_plus=lam,
-                        expected_count=count,
-                    )
+                row = SweepRow(
+                    n=n,
+                    s=float(s),
+                    k=params.k,
+                    delta=params.delta,
+                    sup_error=sup,
+                    l2_error=compare_to_gue(values, grid, j).l2_error,
+                    lambda_plus=lambda_fit(values, grid, params.k).lambda_plus,
+                    expected_count=expected_count(potential, n, s),
+                    decay_exponent=float("nan"),
                 )
             except RmtlabError:
-                partial.append(
-                    dict(
-                        n=n,
-                        s=float(s),
-                        k=-1,
-                        delta=float("nan"),
-                        sup_error=float("nan"),
-                        l2_error=float("nan"),
-                        lambda_plus=float("nan"),
-                        expected_count=float("nan"),
-                    )
-                )
-        good = [p for p in partial if np.isfinite(p["sup_error"])]
+                row = SweepRow(n, float(s), -1, *[float("nan")] * 6)
+            partial.append(row)
+        good = [r for r in partial if np.isfinite(r.sup_error)]
         if len(good) >= 2:
-            logn = np.log([p["n"] for p in good])
-            loge = np.log([p["sup_error"] for p in good])
+            logn = np.log([r.n for r in good])
+            loge = np.log([r.sup_error for r in good])
             slope = float(np.polyfit(logn, loge, 1)[0])
         else:
             slope = float("nan")
-        for p in partial:
-            rows.append(SweepRow(decay_exponent=slope, **p))
+        rows += [replace(r, decay_exponent=slope) for r in partial]
     return rows
 
 

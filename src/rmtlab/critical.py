@@ -56,7 +56,7 @@ class ScalingParams:
 
     @cached_property
     def x_star_nt(self) -> float:
-        return float(find_xstar_nt(self.potential, self.n, self.t, self.m, strict=False))
+        return float(find_xstar_nt(self.potential, self.t, self.m, strict=False))
 
     def json_dict(self) -> dict:
         return {
@@ -74,23 +74,15 @@ class ScalingParams:
         }
 
 
-@lru_cache(maxsize=64)
-def _unit_eq_cached(coeffs: tuple) -> EquilibriumData:
-    return equilibrium.solve(Potential(coeffs), 1.0, 1.0)
+@lru_cache(maxsize=256)
+def solve_cached(potential: Potential, t: float, mass: float) -> EquilibriumData:
+    """equilibrium.solve, cached per potential, t and mass."""
+    return equilibrium.solve(potential, t, mass)
 
 
 def unit_equilibrium(potential: Potential) -> EquilibriumData:
     """Unit-mass equilibrium data at t = 1, cached per potential."""
-    return _unit_eq_cached(potential.coeffs)
-
-
-@lru_cache(maxsize=256)
-def _solve_cached(coeffs: tuple, t: float, mass: float) -> EquilibriumData:
-    return equilibrium.solve(Potential(coeffs), t, mass)
-
-
-def solve_cached(potential: Potential, t: float, mass: float) -> EquilibriumData:
-    return _solve_cached(potential.coeffs, float(t), float(mass))
+    return solve_cached(potential, 1.0, 1.0)
 
 
 def _polish_root(h: np.ndarray, dh: np.ndarray, x0: float) -> float:
@@ -108,9 +100,9 @@ def _polish_root(h: np.ndarray, dh: np.ndarray, x0: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _geometry_cached(coeffs: tuple) -> tuple[float, float, float]:
+def _geometry(potential: Potential) -> tuple[float, float, float]:
     """x*, J and c of one potential (see detect_singular)."""
-    eq = _unit_eq_cached(coeffs)
+    eq = unit_equilibrium(potential)
     h = np.asarray(eq.h_coeffs)
     if len(h) < 2:
         raise NoSingularPointError("h is constant; q has only simple zeros")
@@ -141,7 +133,7 @@ def _geometry_cached(coeffs: tuple) -> tuple[float, float, float]:
         raise WrongOrderError(
             "q vanishes to higher order; only double zeros are supported"
         )
-    return x_star, scaling_J(eq.a, eq.b, x_star), curvature_c(Potential(coeffs), x_star)
+    return x_star, scaling_J(eq.a, eq.b, x_star), curvature_c(potential, x_star)
 
 
 def detect_singular(potential: Potential) -> float:
@@ -157,7 +149,7 @@ def detect_singular(potential: Potential) -> float:
     The point, with J and c, is computed once per potential; a potential
     without a valid point raises its typed error on every call.
     """
-    return _geometry_cached(potential.coeffs)[0]
+    return _geometry(potential)[0]
 
 
 def curvature_c(potential: Potential, x_star: float) -> float:
@@ -205,7 +197,6 @@ def s_to_t(s: float, n: int, J: float) -> float:
 
 def find_xstar_nt(
     potential: Potential,
-    n: int,
     t: float,
     m: float,
     strict: bool = True,
@@ -269,7 +260,7 @@ def make_scaling(potential: Potential, n: int, s: float) -> ScalingParams:
     """
     if abs(s) > _MAX_ABS_S:
         raise InvalidParameterError(f"|s| <= {_MAX_ABS_S} required, got {s}")
-    x_star, J, c = _geometry_cached(potential.coeffs)
+    x_star, J, c = _geometry(potential)
     t = s_to_t(s, n, J)
     m = max(s / n, 0.0)
     nu = n * m
@@ -299,15 +290,12 @@ def phix_growth_check(potential: Potential, s: float, n_list) -> list[float]:
     """
     if s <= 0:
         raise InvalidParameterError(f"s must be positive, got {s}")
-    x_star = detect_singular(potential)
-    eq1 = unit_equilibrium(potential)
-    J = scaling_J(eq1.a, eq1.b, x_star)
-    nu = max(s, 0.0)
+    J = _geometry(potential)[1]
     out = []
     for n in n_list:
         t = s_to_t(s, n, J)
         m = s / n
-        x_nt = find_xstar_nt(potential, n, t, m, strict=True)
+        x_nt = find_xstar_nt(potential, t, m, strict=True)
         eq = solve_cached(potential, t, 1.0 - m)
-        out.append(float(n * equilibrium.phi(eq, x_nt) - 0.5 * nu * np.log(n)))
+        out.append(float(n * equilibrium.phi(eq, x_nt) - 0.5 * s * np.log(n)))
     return out

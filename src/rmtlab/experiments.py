@@ -70,12 +70,9 @@ class LambdaFit:
 
 
 @lru_cache(maxsize=16)
-def _table_cached(coeffs: tuple, n: int, t: float):
-    return orthopoly.build_recurrence(Potential(coeffs), n, t, n)
-
-
 def recurrence_for(potential: Potential, n: int, t: float):
-    return _table_cached(potential.coeffs, n, float(t))
+    """Recurrence table of V/t through degree n, cached per potential, n and t."""
+    return orthopoly.build_recurrence(potential, n, t, n)
 
 
 def rescaled_kernel(

@@ -118,7 +118,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=128)
-def _log_potential_samples(coeffs: tuple, doubling: int) -> tuple[np.ndarray, np.ndarray]:
+def _log_potential_samples(potential: Potential, doubling: int) -> tuple[np.ndarray, np.ndarray]:
     """The points x of one bracket of the window search and 2 U_1(x) there.
 
     The bracket is the unit band's midpoint plus or minus its radius times
@@ -126,7 +126,7 @@ def _log_potential_samples(coeffs: tuple, doubling: int) -> tuple[np.ndarray, np
     unit equilibrium measure. Computed once per potential and doubling, and
     read-only.
     """
-    eq = critical.unit_equilibrium(Potential(coeffs))
+    eq = critical.unit_equilibrium(potential)
     reach = eq.radius * 2.0**doubling
     x = np.linspace(eq.midpoint - reach, eq.midpoint + reach, _SAMPLES)
     two_u = 2.0 * equilibrium.log_potential(eq, x)
@@ -185,7 +185,7 @@ def quadrature_support(
     vt_min = float(np.min(npoly.polyval(crit, vt)))
     eq = critical.unit_equilibrium(potential)
     for doubling in range(1, _MAX_DOUBLINGS + 1):
-        x, two_u = _log_potential_samples(potential.coeffs, doubling)
+        x, two_u = _log_potential_samples(potential, doubling)
         excess = n * (npoly.polyval(x, vt) - two_u + eq.ell)
         top = level + max(float(excess.min()), 0.0)
         if excess[0] > top and excess[-1] > top:

@@ -69,10 +69,6 @@ class Potential:
         return self.eval(x)
 
 
-def rescale_t(potential: Potential, t: float) -> Potential:
-    return potential.rescale(t)
-
-
 _GL_NODES, _GL_WEIGHTS = leggauss(120)
 
 

@@ -157,3 +157,79 @@ def test_out_redirects(tmp_path, eynard_config):
 def test_kernel_requires_n(eynard_config):
     cp = run_cli("kernel", "--potential", eynard_config, "--s", "1.0")
     assert cp.returncode == 2
+
+
+COMMANDS = ["eqm", "detect", "kernel", "gue", "psi", "compare", "sweep", "lambda-fit", "count"]
+
+
+def test_help_lists_every_command():
+    cp = run_cli("--help")
+    assert cp.returncode == 0
+    for cmd in COMMANDS:
+        assert cmd in cp.stdout
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_command_help(cmd):
+    cp = run_cli(cmd, "--help")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.startswith(f"usage: rmtlab {cmd} ")
+    assert "--out" in cp.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("kernel", "--n", "40", "--s", "1.0"),
+        ("gue", "--k", "1"),
+        ("compare", "--n", "40", "--s", "1.0"),
+        ("lambda-fit", "--n", "40", "--s", "1.0"),
+        ("sweep", "--n-list", "40", "--s-list", "1.0"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_leading_minus_grid_parses(args, eynard_config):
+    potential = () if args[0] == "gue" else ("--potential", eynard_config)
+    cp = run_cli(*args, *potential, "--grid", "-1,1,0.5")
+    assert cp.returncode == 0, cp.stderr
+    if args[0] in ("kernel", "gue"):
+        rows = [line.split(",") for line in cp.stdout.strip().split("\n")[1:]]
+        assert len(rows) == 25 and rows[0][:2] == ["-1", "-1"]
+    elif args[0] == "compare":
+        assert json.loads(cp.stdout)["grid_min"] == -1.0
+    else:
+        assert cp.stdout
+
+
+@pytest.mark.parametrize("cmd", ["gue", "psi"])
+def test_k_required(cmd):
+    cp = run_cli(cmd)
+    assert cp.returncode == 2
+    assert "--k" in cp.stderr
+    assert cp.stdout == ""
+
+
+@pytest.mark.parametrize("cmd", ["compare", "lambda-fit"])
+def test_explicit_k_echoed(cmd, eynard_config):
+    # the k-rule gives k = 1 at s = 1; --k overrides it
+    cp = run_cli(cmd, "--potential", eynard_config, "--n", "40", "--s", "1.0", "--k", "2")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["k"] == 2
+
+
+def test_count_explicit_delta(eynard_config):
+    cp = run_cli(
+        "count", "--potential", eynard_config, "--n", "40", "--s", "1.0", "--delta", "0.1"
+    )
+    assert cp.returncode == 0, cp.stderr
+    out = json.loads(cp.stdout)
+    assert out["delta"] == 0.1
+    assert 0.0 < out["count"] < 40
+
+
+def test_out_writes_csv(tmp_path):
+    target = tmp_path / "gue.csv"
+    cp = run_cli("gue", "--k", "1", "--grid", "0,1,0.5", "--out", str(target))
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == ""
+    assert target.read_text() == run_cli("gue", "--k", "1", "--grid", "0,1,0.5").stdout

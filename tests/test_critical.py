@@ -163,7 +163,7 @@ def test_make_scaling_rejects_large_s(eynard3_pot):
 
 
 def test_find_xstar_nt_unit_branch(eynard3_pot):
-    x = find_xstar_nt(eynard3_pot, 100, 0.99, 0.0)
+    x = find_xstar_nt(eynard3_pot, 0.99, 0.0)
     assert abs(x - 3.0) < 1e-6
 
 
@@ -173,9 +173,9 @@ def test_find_xstar_nt_desk_scale_breakdown(eynard3_pot):
     J = scaling_J(-2.0, 2.0, 3.0)
     t = s_to_t(1.0, 160, J)
     with pytest.raises(NoConvergenceError):
-        find_xstar_nt(eynard3_pot, 160, t, 1.0 / 160.0, strict=True)
+        find_xstar_nt(eynard3_pot, t, 1.0 / 160.0, strict=True)
     with pytest.warns(UserWarning):
-        x = find_xstar_nt(eynard3_pot, 160, t, 1.0 / 160.0, strict=False)
+        x = find_xstar_nt(eynard3_pot, t, 1.0 / 160.0, strict=False)
     assert abs(x - 3.0) < 1e-6
 
 
@@ -197,7 +197,7 @@ def test_make_scaling_survives_reduced_mass_no_convergence(eynard3_pot, n):
         x_star_nt = params.x_star_nt
     assert x_star_nt == params.x_star
     with pytest.raises(NoConvergenceError):
-        find_xstar_nt(eynard3_pot, n, params.t, params.m, strict=True)
+        find_xstar_nt(eynard3_pot, params.t, params.m, strict=True)
 
 
 def test_make_scaling_never_computes_x_star_nt(eynard3_pot, monkeypatch):
@@ -227,7 +227,7 @@ def test_x_star_nt_read_once(eynard3_pot, monkeypatch):
 @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 2.0])
 def test_json_x_star_nt_is_nonstrict_find(eynard3_pot, s):
     params = make_scaling(eynard3_pot, 120, s)
-    expected = find_xstar_nt(eynard3_pot, 120, params.t, params.m, strict=False)
+    expected = find_xstar_nt(eynard3_pot, params.t, params.m, strict=False)
     assert params.json_dict()["x_star_nt"] == expected
 
 
@@ -257,12 +257,12 @@ def test_make_scaling_total(e):
 def test_nonstrict_polish_stall_falls_back(eynard3_pot, monkeypatch):
     # t = 1.05, m = 0.05 has a valid reduced-mass band clear of x*
     x_star = detect_singular(eynard3_pot)
-    assert abs(find_xstar_nt(eynard3_pot, 100, 1.05, 0.05) - x_star) < 0.1
+    assert abs(find_xstar_nt(eynard3_pot, 1.05, 0.05) - x_star) < 0.1
     monkeypatch.setattr(critical, "_polish_root", lambda h, dh, x0: x0 + 1.0)
     with pytest.raises(NoConvergenceError):
-        find_xstar_nt(eynard3_pot, 100, 1.05, 0.05, strict=True)
+        find_xstar_nt(eynard3_pot, 1.05, 0.05, strict=True)
     with pytest.warns(UserWarning, match="root polish stalled"):
-        x = find_xstar_nt(eynard3_pot, 100, 1.05, 0.05, strict=False)
+        x = find_xstar_nt(eynard3_pot, 1.05, 0.05, strict=False)
     assert x == x_star
 
 

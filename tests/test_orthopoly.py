@@ -341,9 +341,9 @@ def test_log_potential_samples_cached(eynard3_pot, n):
     t = make_scaling(eynard3_pot, n, 1.0).t
     rule = quadrature_support(eynard3_pot, n, t)
     assert (rule.lo, rule.hi) == _uncached_window(eynard3_pot, n, t)
-    x, two_u = _log_potential_samples(eynard3_pot.coeffs, 1)
+    x, two_u = _log_potential_samples(eynard3_pot, 1)
     assert not x.flags.writeable and not two_u.flags.writeable
-    assert _log_potential_samples(eynard3_pot.coeffs, 1)[1] is two_u
+    assert _log_potential_samples(eynard3_pot, 1)[1] is two_u
 
 
 @pytest.mark.parametrize("n", [160, 800, 2560])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from rmtlab import InvalidParameterError, Potential, from_config, make_eynard, rescale_t
+from rmtlab import InvalidParameterError, Potential, from_config, make_eynard
 
 
 def antideriv_sqrt_moment(x, m):
@@ -60,18 +60,18 @@ def test_derivative_matches_finite_difference(coeffs, x):
 
 def test_rescale_divides_coefficients():
     v = Potential((0.0, 0.0, 1.0))
-    assert rescale_t(v, 2.0).coeffs == (0.0, 0.0, 0.5)
+    assert v.rescale(2.0).coeffs == (0.0, 0.0, 0.5)
 
 
 def test_rescale_identity():
     v = Potential((0.0, 1.0, 0.5, 0.0, 2.0))
-    assert rescale_t(v, 1.0).coeffs == v.coeffs
+    assert v.rescale(1.0).coeffs == v.coeffs
 
 
 def test_rescale_rejects_nonpositive_t():
     v = Potential((0.0, 0.0, 0.0, 0.0, 1.0))
     with pytest.raises(InvalidParameterError):
-        rescale_t(v, 0.0)
+        v.rescale(0.0)
 
 
 def test_degree_validation():

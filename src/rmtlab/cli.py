@@ -158,41 +158,31 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--grid", type=GridSpec.from_string, default=GridSpec(-3.0, 3.0, 0.25))
 
     sub = parser.add_subparsers(dest="command", required=True)
-    eqm = sub.add_parser("eqm", help="solve the one-cut measure and print its data", parents=[potential])
+
+    def command(name, help_text, handler, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents)
+        p.set_defaults(handler=handler)
+        return p
+
+    eqm = command("eqm", "solve the one-cut measure and print its data", _run_eqm, potential)
     eqm.add_argument("--mass", type=float, default=1.0)
     eqm.add_argument("--t", type=float, default=1.0)
-    eqm.set_defaults(handler=_run_eqm)
-    detect = sub.add_parser(
-        "detect", help="locate the gap-closing point and scaling constants", parents=[potential]
-    )
-    detect.set_defaults(handler=_run_detect)
-    kernel = sub.add_parser("kernel", help="rescaled kernel grid as CSV", parents=[potential, n_s, grid])
-    kernel.set_defaults(handler=_run_kernel)
-    gue_grid = sub.add_parser("gue", help="finite-size GUE kernel grid as CSV", parents=[k_required, grid])
-    gue_grid.set_defaults(handler=_run_gue)
-    psi = sub.add_parser("psi", help="local model matrix diagnostics", parents=[k_required])
-    psi.set_defaults(handler=_run_psi)
-    compare = sub.add_parser(
-        "compare", help="rescaled kernel vs GUE kernel report", parents=[potential, n_s, k_rule, grid]
-    )
-    compare.set_defaults(handler=_run_compare)
-    sweep = sub.add_parser(
-        "sweep", help="convergence sweep over n and s as CSV", parents=[potential, grid]
-    )
+    command("detect", "locate the gap-closing point and scaling constants", _run_detect, potential)
+    command("kernel", "rescaled kernel grid as CSV", _run_kernel, potential, n_s, grid)
+    command("gue", "finite-size GUE kernel grid as CSV", _run_gue, k_required, grid)
+    command("psi", "local model matrix diagnostics", _run_psi, k_required)
+    command("compare", "rescaled kernel vs GUE kernel report", _run_compare,
+            potential, n_s, k_rule, grid)
+    sweep = command("sweep", "convergence sweep over n and s as CSV", _run_sweep, potential, grid)
     sweep.add_argument("--n-list", type=_int_list, required=True)
     sweep.add_argument("--s-list", type=_float_list, required=True)
-    sweep.set_defaults(handler=_run_sweep)
-    lambda_fit = sub.add_parser(
-        "lambda-fit", help="two-kernel interpolation weights", parents=[potential, n_s, k_rule, grid]
-    )
-    lambda_fit.set_defaults(handler=_run_lambda_fit)
-    count = sub.add_parser(
-        "count", help="expected eigenvalues near the gap point", parents=[potential, n_s]
-    )
+    command("lambda-fit", "two-kernel interpolation weights", _run_lambda_fit,
+            potential, n_s, k_rule, grid)
+    count = command("count", "expected eigenvalues near the gap point", _run_count, potential, n_s)
     count.add_argument("--delta", type=float, default=None)
-    count.set_defaults(handler=_run_count)
 
-    # let values like "-3,3,0.25" pass as arguments, not option strings
+    # let values like "-3,3,0.25" pass as arguments, not option strings;
+    # --out comes last on every subcommand
     numberish = re.compile(r"^-[\d.][\d.,eE+-]*$")
     parser._negative_number_matcher = numberish
     for p in sub.choices.values():

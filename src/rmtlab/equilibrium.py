@@ -24,7 +24,7 @@ the same exact sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
@@ -211,17 +211,7 @@ def solve(potential: Potential, t: float, mass: float) -> EquilibriumData:
         ell=0.0,
         cheb=tuple(cheb),
     )
-    ell = lagrange_ell(eq)
-    return EquilibriumData(
-        potential=potential,
-        mass=mass,
-        t=t,
-        a=float(a),
-        b=float(b),
-        h_coeffs=tuple(h),
-        ell=ell,
-        cheb=tuple(cheb),
-    )
+    return replace(eq, ell=lagrange_ell(eq))
 
 
 def density(eq: EquilibriumData, x):

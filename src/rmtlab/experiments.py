@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -45,10 +45,8 @@ class ComparisonReport:
     n: int
     s: float
     k: int
-    grid_spec: GridSpec
     sup_error: float
     l2_error: float
-    values: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -111,10 +109,8 @@ def compare_to_gue(
         n=n,
         s=s,
         k=k,
-        grid_spec=grid,
         sup_error=float(np.abs(diff).max()),
         l2_error=float(grid.step * np.sqrt(np.sum(diff * diff))),
-        values=values,
     )
 
 

@@ -62,6 +62,14 @@ def test_detect_near_band_edge(e):
     assert abs(detect_singular(pot) - e) < 1e-10
 
 
+def test_band_edge_pinned_near_birth():
+    # the density vanishes fast at b and the endpoint Jacobian is 1.7e-7, so
+    # a moment residual below the Newton tolerance alone leaves b off by 1.4e-7
+    pot, _ = make_eynard(2.002)
+    assert abs(unit_equilibrium(pot).b - 2.0) <= 1e-9
+    assert abs(detect_singular(pot) - 2.002) <= 1e-9
+
+
 def test_curvature_cross_check(eynard3_pot):
     x_star = detect_singular(eynard3_pot)
     c = curvature_c(eynard3_pot, x_star)

@@ -7,7 +7,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -40,12 +40,12 @@ def _grid_csv(grid: GridSpec, values: np.ndarray) -> str:
     return csv_text(["u", "v", "value"], rows)
 
 
-def _run_eqm(args) -> str:
+def _run_eqm(args: argparse.Namespace) -> str:
     eq = equilibrium.solve(_load_potential(args.potential), args.t, args.mass)
     return json_dumps(eq.json_dict()) + "\n"
 
 
-def _run_detect(args) -> str:
+def _run_detect(args: argparse.Namespace) -> str:
     pot = _load_potential(args.potential)
     x_star = critical.detect_singular(pot)
     eq = critical.unit_equilibrium(pot)
@@ -59,16 +59,16 @@ def _run_detect(args) -> str:
     return json_dumps(out) + "\n"
 
 
-def _run_kernel(args) -> str:
+def _run_kernel(args: argparse.Namespace) -> str:
     pot = _load_potential(args.potential)
     return _grid_csv(args.grid, experiments.rescaled_kernel(pot, args.n, args.s, args.grid))
 
 
-def _run_gue(args) -> str:
+def _run_gue(args: argparse.Namespace) -> str:
     return _grid_csv(args.grid, gue.gue_kernel_grid(args.k, args.grid.points()))
 
 
-def _run_psi(args) -> str:
+def _run_psi(args: argparse.Namespace) -> str:
     k = args.k
     samples = [2j, -1.5j, 1 + 1j, -2 + 0.5j, 0.3 + 0.2j, 3 - 1j, 0.05j, 5 + 5j, -4 - 2j, 0.7 + 3j]
     det_err = max(abs(gue.psi_matrix(z, k).det - 1.0) for z in samples)
@@ -87,7 +87,7 @@ def _run_psi(args) -> str:
     return json_dumps(out) + "\n"
 
 
-def _kernel_and_k(args) -> tuple[np.ndarray, int]:
+def _kernel_and_k(args: argparse.Namespace) -> tuple[np.ndarray, int]:
     """The rescaled kernel grid and the GUE size: --k, else the k-rule."""
     pot = _load_potential(args.potential)
     params = critical.make_scaling(pot, args.n, args.s)
@@ -95,36 +95,26 @@ def _kernel_and_k(args) -> tuple[np.ndarray, int]:
     return values, params.k if args.k is None else args.k
 
 
-def _run_compare(args) -> str:
+def _run_compare(args: argparse.Namespace) -> str:
     values, k = _kernel_and_k(args)
     report = experiments.compare_to_gue(values, args.grid, k, n=args.n, s=args.s)
-    out = {
-        "grid_max": args.grid.u_max,
-        "grid_min": args.grid.u_min,
-        "grid_step": args.grid.step,
-        "k": report.k,
-        "l2_error": report.l2_error,
-        "n": report.n,
-        "s": report.s,
-        "sup_error": report.sup_error,
-    }
-    return json_dumps(out) + "\n"
+    grid = {"grid_max": args.grid.u_max, "grid_min": args.grid.u_min, "grid_step": args.grid.step}
+    return json_dumps(asdict(report) | grid) + "\n"
 
 
-def _run_sweep(args) -> str:
+def _run_sweep(args: argparse.Namespace) -> str:
     pot = _load_potential(args.potential)
     rows = experiments.convergence_sweep(pot, args.n_list, args.s_list, args.grid)
     return csv_text([f.name for f in fields(SweepRow)], [astuple(r) for r in rows])
 
 
-def _run_lambda_fit(args) -> str:
+def _run_lambda_fit(args: argparse.Namespace) -> str:
     values, k = _kernel_and_k(args)
-    out = experiments.lambda_fit(values, args.grid, k).json_dict()
-    out.update({"k": k, "n": args.n, "s": args.s})
-    return json_dumps(out) + "\n"
+    fit = experiments.lambda_fit(values, args.grid, k)
+    return json_dumps(asdict(fit) | {"k": k, "n": args.n, "s": args.s}) + "\n"
 
 
-def _run_count(args) -> str:
+def _run_count(args: argparse.Namespace) -> str:
     pot = _load_potential(args.potential)
     delta = args.delta
     if delta is None:

@@ -58,14 +58,6 @@ class LambdaFit:
     residual: float
     clamped: bool
 
-    def json_dict(self) -> dict:
-        return {
-            "lambda_plus": self.lambda_plus,
-            "lambda_minus": self.lambda_minus,
-            "residual": self.residual,
-            "clamped": self.clamped,
-        }
-
 
 @lru_cache(maxsize=16)
 def recurrence_for(potential: Potential, n: int, t: float):

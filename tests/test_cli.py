@@ -12,10 +12,15 @@ def run_cli(*args):
     )
 
 
+COMMANDS = ["eqm", "detect", "kernel", "gue", "psi", "compare", "sweep", "lambda-fit", "count"]
+
+
 def test_help():
     cp = run_cli("--help")
     assert cp.returncode == 0
     assert "rmtlab" in cp.stdout
+    for cmd in COMMANDS:
+        assert cmd in cp.stdout
 
 
 def test_unknown_command_exits_2():
@@ -157,16 +162,6 @@ def test_out_redirects(tmp_path, eynard_config):
 def test_kernel_requires_n(eynard_config):
     cp = run_cli("kernel", "--potential", eynard_config, "--s", "1.0")
     assert cp.returncode == 2
-
-
-COMMANDS = ["eqm", "detect", "kernel", "gue", "psi", "compare", "sweep", "lambda-fit", "count"]
-
-
-def test_help_lists_every_command():
-    cp = run_cli("--help")
-    assert cp.returncode == 0
-    for cmd in COMMANDS:
-        assert cmd in cp.stdout
 
 
 @pytest.mark.parametrize("cmd", COMMANDS)

@@ -8,7 +8,16 @@ come from a damped Newton iteration on the two moment conditions
     (1/2pi) int_a^b y V_t'(y) / sqrt((y-a)(b-y)) dy = mass,
 
 both evaluated by Gauss-Chebyshev quadrature, which is exact for
-polynomial integrands. h is the polynomial part of the expansion of
+polynomial integrands. The 64 nodes, their derivatives in a and b and the
+weight are module constants, and V_t', V_t'' are evaluated by Horner's
+rule with npoly.polyval's operations. Each Newton step is damped by
+backtracking: lambda = 1 is tried first, and when it does not lower the
+residual norm the halvings 2^-1 ... 2^-39 are evaluated in one batched,
+residual-only pass (no Jacobian) and the first that keeps a < b and lowers
+the norm is taken, which is the one sequential halving would reach; 2^-40
+when none does. So every solve, failures included, has the bits of the
+plain sequential search (tests/test_equilibrium.py keeps it as reference).
+h is the polynomial part of the expansion of
 V_t'(z) ((z-a)(z-b))^{-1/2} at infinity, divided by two; the expansion
 coefficients are exact binomial convolutions, so h carries no quadrature
 error.
@@ -28,7 +37,6 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
-from numpy.polynomial import chebyshev as ncheb
 from numpy.polynomial import polynomial as npoly
 
 from .errors import (
@@ -43,6 +51,17 @@ _MOMENT_NODES = 64
 _NEWTON_TOL = 1e-13
 _NEWTON_MAXIT = 100
 _POLISH_MAXIT = 8
+
+# Gauss-Chebyshev nodes on [-1, 1], the node derivatives dy/da and dy/db of
+# y = mid + rad * cos_t, and the common weight
+_COS_T = np.cos((2 * np.arange(1, _MOMENT_NODES + 1) - 1) * np.pi / (2 * _MOMENT_NODES))
+_DY_DA = 0.5 * (1 - _COS_T)
+_DY_DB = 0.5 * (1 + _COS_T)
+_WEIGHT = np.pi / _MOMENT_NODES
+# line-search damping factors: 1 alone, then 2^-1 ... 2^-39, then the fallback
+_FULL_STEP = np.array([1.0])
+_HALVINGS = 0.5 ** np.arange(1, 40)
+_LAST_STEP = 0.5**40
 
 
 @dataclass(frozen=True)
@@ -89,37 +108,76 @@ class EquilibriumData:
         }
 
 
+def _horner(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """npoly.polyval(y, c) for 1-d c and array y, with the same operations."""
+    acc = c[-1] + y * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * y
+    return acc
+
+
 def _moment_system(dv1: np.ndarray, dv2: np.ndarray, a: float, b: float):
     """Moment conditions and their Jacobian in (a, b), exact for polynomials."""
-    j = np.arange(1, _MOMENT_NODES + 1)
-    cos_t = np.cos((2 * j - 1) * np.pi / (2 * _MOMENT_NODES))
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    y = mid + rad * cos_t
-    w = np.pi / _MOMENT_NODES
-    vp = npoly.polyval(y, dv1)
-    vpp = npoly.polyval(y, dv2)
-    f1 = w * np.sum(vp)
-    f2 = w * np.sum(y * vp) / (2 * np.pi)
-    dy_da = 0.5 * (1 - cos_t)
-    dy_db = 0.5 * (1 + cos_t)
+    y = mid + rad * _COS_T
+    vp = _horner(dv1, y)
+    vpp = _horner(dv2, y)
+    w = _WEIGHT
+    f1 = w * vp.sum()
+    f2 = w * (y * vp).sum() / (2 * np.pi)
+    dyvp = vp + y * vpp
     jac = np.array(
         [
-            [w * np.sum(vpp * dy_da), w * np.sum(vpp * dy_db)],
+            [w * (vpp * _DY_DA).sum(), w * (vpp * _DY_DB).sum()],
             [
-                w * np.sum((vp + y * vpp) * dy_da) / (2 * np.pi),
-                w * np.sum((vp + y * vpp) * dy_db) / (2 * np.pi),
+                w * (dyvp * _DY_DA).sum() / (2 * np.pi),
+                w * (dyvp * _DY_DB).sum() / (2 * np.pi),
             ],
         ]
     )
     return np.array([f1, f2]), jac
 
 
+def _residuals(dv1: np.ndarray, a: np.ndarray, b: np.ndarray, mass: float):
+    """Both endpoint residuals at each pair (a[i], b[i]), without the Jacobian.
+
+    Row i carries the same operations as _moment_system at one pair, so
+    each residual equals the one _moment_system gives there.
+    """
+    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+    y = mid[:, None] + rad[:, None] * _COS_T
+    vp = _horner(dv1, y)
+    f1 = _WEIGHT * vp.sum(axis=1)
+    f2 = _WEIGHT * (y * vp).sum(axis=1) / (2 * np.pi) - mass
+    return f1, f2
+
+
+def _step_length(dv1, mass, a, b, step, norm0):
+    """Damping factor of the backtracking line search from (a, b) along step.
+
+    The first of 1, 1/2, ..., 2^-39 whose trial keeps a < b and has a
+    residual norm below norm0, else 2^-40: what halving from 1 while
+    lambda > 1e-12 picks. 1 is tried alone, the other 39 in one pass.
+    """
+    for lams in (_FULL_STEP, _HALVINGS):
+        na, nb = a + lams * step[0], b + lams * step[1]
+        valid = np.flatnonzero(na < nb)
+        f1, f2 = _residuals(dv1, na[valid], nb[valid], mass)
+        # norm0 comes from np.linalg.norm, a BLAS dot that may fuse a
+        # multiply-add; hypot is within a few ulps of it, so it only screens
+        # the trials and each survivor gets the exact norm, in order.
+        near = np.flatnonzero(np.hypot(f1, f2) < norm0 * (1.0 + 1e-12))
+        for i in near:
+            if np.linalg.norm(np.array([f1[i], f2[i]])) < norm0:
+                return lams[valid[i]]
+    return _LAST_STEP
+
+
 def moment_residuals(potential: Potential, t: float, a: float, b: float, mass: float):
     """Residuals of the two endpoint conditions at (a, b)."""
     dv1 = potential.deriv_coeffs(1) / t
-    dv2 = potential.deriv_coeffs(2) / t
-    f, _ = _moment_system(dv1, dv2, a, b)
-    return f[0], f[1] - mass
+    f1, f2 = _residuals(dv1, np.array([a]), np.array([b]), mass)
+    return f1[0], f2[0]
 
 
 def _h_from_expansion(dv1: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -148,11 +206,32 @@ def _initial_guess(potential: Potential, t: float, mass: float) -> tuple[float, 
 
 
 def _cheb_of_band_density(h: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Chebyshev coefficients of (b-y)(y-a) h(y) in the scaled variable."""
+    """Chebyshev coefficients of (b-y)(y-a) h(y) in the scaled variable.
+
+    h(mid + rad y) by Horner's rule in convolutions, times rad^2 (1 - y^2),
+    then converted to the Chebyshev basis by Horner's rule in chebmulx and
+    chebadd steps: the arithmetic of Polynomial composition, polymul and
+    poly2cheb, on plain arrays.
+    """
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    hy = npoly.Polynomial(h)(npoly.Polynomial([mid, rad])).coef
-    g = npoly.polymul([rad * rad, 0.0, -rad * rad], hy)
-    return ncheb.poly2cheb(g)
+    line = np.array([mid, rad])
+    hy = h[-1:]
+    for c in h[-2::-1]:
+        hy = np.convolve(hy, line)
+        hy[0] += c
+    g = np.convolve(np.array([rad * rad, 0.0, -rad * rad]), hy)
+    cheb = g[-1:]
+    for c in g[-2::-1]:
+        prd = np.empty(len(cheb) + 1)
+        prd[0] = cheb[0] * 0
+        prd[1] = cheb[0]
+        if len(cheb) > 1:
+            tmp = cheb[1:] / 2
+            prd[2:] = tmp
+            prd[0:-2] += tmp
+        prd[0] += c
+        cheb = prd
+    return cheb
 
 
 def solve(potential: Potential, t: float, mass: float) -> EquilibriumData:
@@ -175,15 +254,7 @@ def solve(potential: Potential, t: float, mass: float) -> EquilibriumData:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError("singular Jacobian in endpoint iteration") from exc
-        lam, norm0 = 1.0, np.linalg.norm(f)
-        while lam > 1e-12:
-            na, nb = a + lam * step[0], b + lam * step[1]
-            if na < nb:
-                fn, _ = _moment_system(dv1, dv2, na, nb)
-                fn[1] -= mass
-                if np.linalg.norm(fn) < norm0:
-                    break
-            lam /= 2
+        lam = _step_length(dv1, mass, a, b, step, np.linalg.norm(f))
         a, b = a + lam * step[0], b + lam * step[1]
     if not converged:
         raise NoConvergenceError(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -43,11 +44,24 @@ class Potential:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def deriv_coeffs(self, order: int = 1) -> np.ndarray:
+    @cached_property
+    def _derivs(self) -> tuple[np.ndarray, ...]:
         c = np.asarray(self.coeffs, dtype=float)
-        for _ in range(order):
+        out = [c]
+        for _ in range(self.degree + 1):
             c = npoly.polyder(c)
-        return c
+            out.append(c)
+        for c in out:
+            c.flags.writeable = False
+        return tuple(out)
+
+    def deriv_coeffs(self, order: int = 1) -> np.ndarray:
+        """Coefficients of the order-th derivative of V, cached read-only.
+
+        Orders above degree + 1 give the zero polynomial [0.] like that one.
+        """
+        derivs = self._derivs
+        return derivs[min(max(order, 0), len(derivs) - 1)]
 
     def eval(self, x, order: int = 0):
         """Evaluate the order-th derivative of V at x (order 0 is V itself).
@@ -57,7 +71,7 @@ class Potential:
         """
         if order < 0 or order > self.degree + 1:
             raise InvalidParameterError(f"order must be in [0, {self.degree + 1}]")
-        return npoly.polyval(x, self.deriv_coeffs(order) if order else np.asarray(self.coeffs))
+        return npoly.polyval(x, self.deriv_coeffs(order))
 
     def rescale(self, t: float) -> "Potential":
         """Return the weakened field V/t."""

@@ -1,21 +1,33 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from rmtlab import (
     BranchCutError,
+    NoConvergenceError,
     NotOneCutRegularError,
     Potential,
+    RmtlabError,
     density,
     g_function,
     lagrange_ell,
     log_potential,
+    make_eynard,
+    make_scaling,
     phi,
     q_eval,
     q_eval_resolvent,
     solve,
     variational_residual,
 )
-from rmtlab.equilibrium import moment_residuals
+from rmtlab.equilibrium import (
+    EquilibriumData,
+    _h_from_expansion,
+    _initial_guess,
+    moment_residuals,
+)
 
 from conftest import brute_log_potential
 
@@ -237,3 +249,141 @@ def test_two_cut_input_fails_loudly():
 def test_json_dict_fields(semicircle):
     d = semicircle.json_dict()
     assert set(d) == {"mass", "t", "a", "b", "h_coeffs", "ell"}
+
+
+# --- the endpoint Newton as it was before the fixed nodes, the batched line
+# search and the plain-array Chebyshev conversion; solve must match it bit
+# for bit, failures included
+
+
+def _ref_moment_system(dv1, dv2, a, b):
+    j = np.arange(1, 65)
+    cos_t = np.cos((2 * j - 1) * np.pi / (2 * 64))
+    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+    y = mid + rad * cos_t
+    w = np.pi / 64
+    vp = npoly.polyval(y, dv1)
+    vpp = npoly.polyval(y, dv2)
+    f1 = w * np.sum(vp)
+    f2 = w * np.sum(y * vp) / (2 * np.pi)
+    dy_da = 0.5 * (1 - cos_t)
+    dy_db = 0.5 * (1 + cos_t)
+    jac = np.array(
+        [
+            [w * np.sum(vpp * dy_da), w * np.sum(vpp * dy_db)],
+            [
+                w * np.sum((vp + y * vpp) * dy_da) / (2 * np.pi),
+                w * np.sum((vp + y * vpp) * dy_db) / (2 * np.pi),
+            ],
+        ]
+    )
+    return np.array([f1, f2]), jac
+
+
+def _ref_solve(potential, t, mass):
+    coeffs = np.asarray(potential.coeffs, dtype=float)
+    dv1 = npoly.polyder(coeffs) / t
+    dv2 = npoly.polyder(npoly.polyder(coeffs)) / t
+    a, b = _initial_guess(potential, t, mass)
+    converged = False
+    for _ in range(100):
+        f, jac = _ref_moment_system(dv1, dv2, a, b)
+        f[1] -= mass
+        if np.max(np.abs(f)) < 1e-13:
+            converged = True
+            break
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError("singular Jacobian in endpoint iteration") from exc
+        lam, norm0 = 1.0, np.linalg.norm(f)
+        while lam > 1e-12:
+            na, nb = a + lam * step[0], b + lam * step[1]
+            if na < nb:
+                fn, _ = _ref_moment_system(dv1, dv2, na, nb)
+                fn[1] -= mass
+                if np.linalg.norm(fn) < norm0:
+                    break
+            lam /= 2
+        a, b = a + lam * step[0], b + lam * step[1]
+    if not converged:
+        raise NoConvergenceError("endpoint Newton failed after 100 iterations")
+    last = np.inf
+    for _ in range(8):
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            break
+        size = np.max(np.abs(step))
+        if not (size < last and a + step[0] < b + step[1]):
+            break
+        a, b, last = a + step[0], b + step[1], size
+        if size <= 1e-15 * (abs(a) + abs(b)):
+            break
+        f, jac = _ref_moment_system(dv1, dv2, a, b)
+        f[1] -= mass
+    h = _h_from_expansion(dv1, a, b)
+    hroots = np.roots(h[::-1]) if len(h) > 1 else np.array([])
+    inside = [
+        r.real for r in hroots if abs(r.imag) < 1e-9 and a - 1e-12 <= r.real <= b + 1e-12
+    ]
+    if inside or npoly.polyval(0.5 * (a + b), h) <= 0:
+        raise NotOneCutRegularError(f"density factor h changes sign on [{a}, {b}]")
+    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+    hy = npoly.Polynomial(h)(npoly.Polynomial([mid, rad])).coef
+    g = npoly.polymul([rad * rad, 0.0, -rad * rad], hy)
+    cheb = np.polynomial.chebyshev.poly2cheb(g)
+    eq = EquilibriumData(potential, mass, t, float(a), float(b), tuple(h), 0.0, tuple(cheb))
+    return replace(eq, ell=lagrange_ell(eq))
+
+
+def _outcome(fn, *args):
+    try:
+        eq = fn(*args)
+    except RmtlabError as exc:
+        return type(exc), str(exc)
+    return eq.a, eq.b, eq.h_coeffs, eq.ell, eq.cheb
+
+
+def _bits(value):
+    """Exact bit patterns of every float in a nested outcome."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value
+
+
+_IDENTITY_POINTS = [
+    (t, mass) for t in (0.5, 0.8, 1.0, 1.3, 1.7, 2.0) for mass in (0.05, 0.3, 0.6, 0.9, 0.99, 1.0)
+]
+_IDENTITY_CASES = {
+    "eynard-2.002": ((0, "eynard", 2.002), {"ok"}),
+    # with the reduced-mass solves of the double-scaling bundle at s = 1 and
+    # n = 160, 240, 300: the first fails the one-cut check, the others run
+    # out of Newton iterations (each about a thousand residual evaluations)
+    "eynard-3": ((3, "eynard", 3.0), {"ok", NotOneCutRegularError, NoConvergenceError}),
+    "eynard-4": ((0, "eynard", 4.0), {"ok"}),
+    "x2": ((0, "poly", (0.0, 0.0, 1.0)), {"ok"}),
+    "tilted-well": ((0, "poly", (0.0, 0.3, -1.0, 0.0, 1.0)), {"ok", NotOneCutRegularError}),
+    "double-well": (
+        (0, "poly", (0.0, 0.0, -3.0, 0.0, 1.0)),
+        {"ok", NotOneCutRegularError, NoConvergenceError},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_IDENTITY_CASES))
+def test_solve_bit_identical_to_reference_newton(case):
+    (scaling_points, kind, arg), expected_kinds = _IDENTITY_CASES[case]
+    potential = make_eynard(arg)[0] if kind == "eynard" else Potential(arg)
+    points = list(_IDENTITY_POINTS)
+    for n in (160, 240, 300)[:scaling_points]:
+        p = make_scaling(potential, n, 1.0)
+        points.append((p.t, 1.0 - p.m))
+    kinds = set()
+    for t, mass in points:
+        got = _outcome(solve, potential, t, mass)
+        assert _bits(got) == _bits(_outcome(_ref_solve, potential, t, mass)), (t, mass, got)
+        kinds.add(got[0] if isinstance(got[0], type) else "ok")
+    assert kinds == expected_kinds

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.legendre import leggauss
 
 from rmtlab import InvalidParameterError, Potential, from_config, make_eynard
@@ -128,3 +129,16 @@ def test_config_eynard():
 def test_config_rejects_unknown():
     with pytest.raises(InvalidParameterError):
         from_config({"type": "spline"})
+
+
+def test_deriv_coeffs_shared_read_only():
+    pot = Potential((0.5, -1.0, 2.0, 0.3, 1.5))
+    c = np.asarray(pot.coeffs)
+    for order in range(pot.degree + 3):
+        got = pot.deriv_coeffs(order)
+        assert got is pot.deriv_coeffs(order)
+        assert not got.flags.writeable
+        want = npoly.polyder(c, order) if order <= pot.degree else np.zeros(1)
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0] = 1.0

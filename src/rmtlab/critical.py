@@ -258,7 +258,7 @@ def make_scaling(potential: Potential, n: int, s: float) -> ScalingParams:
     After the first call for a potential this is arithmetic: x*, J and c
     are cached per potential, and x_star_nt waits until it is read.
     """
-    if abs(s) > _MAX_ABS_S:
+    if not abs(s) <= _MAX_ABS_S:  # NaN fails this too
         raise InvalidParameterError(f"|s| <= {_MAX_ABS_S} required, got {s}")
     x_star, J, c = _geometry(potential)
     t = s_to_t(s, n, J)

@@ -71,6 +71,8 @@ def gue_kernel_sum(k: int, u: float, v: float) -> float:
 
 def gue_kernel_grid(k: int, grid: np.ndarray) -> np.ndarray:
     """Kernel matrix on a 1-d grid, diagonal filled with the summed form."""
+    if k < 0:
+        raise InvalidParameterError(f"k must be nonnegative, got {k}")
     grid = np.asarray(grid, dtype=float)
     if k == 0:
         return np.zeros((len(grid), len(grid)))

@@ -228,3 +228,38 @@ def test_out_writes_csv(tmp_path):
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == ""
     assert target.read_text() == run_cli("gue", "--k", "1", "--grid", "0,1,0.5").stdout
+
+
+@pytest.mark.parametrize("cmd", ["kernel", "count", "compare", "lambda-fit"])
+def test_nan_s_is_invalid(cmd, eynard_config):
+    cp = run_cli(cmd, "--potential", eynard_config, "--n", "40", "--s", "nan")
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    err = json.loads(cp.stderr)
+    assert err == {"error": "|s| <= 8.0 required, got nan", "kind": "invalid-parameter"}
+
+
+def test_sweep_nan_s_is_a_failure_row(eynard_config):
+    cp = run_cli(
+        "sweep", "--potential", eynard_config, "--n-list", "40",
+        "--s-list", "nan,1.0", "--grid", "-1,1,0.5",
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    rows = [line.split(",") for line in cp.stdout.strip().split("\n")[1:]]
+    assert rows[0][:3] == ["40", "NaN", "-1"]
+    assert rows[1][:3] == ["40", "1", "1"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("gue", "--k", "-1"), ("compare", "--n", "40", "--s", "1.0", "--k", "-1")],
+    ids=lambda args: args[0],
+)
+def test_negative_k_is_invalid(args, eynard_config):
+    potential = () if args[0] == "gue" else ("--potential", eynard_config)
+    cp = run_cli(*args, *potential, "--grid", "-1,1,0.5")
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    err = json.loads(cp.stderr)
+    assert err == {"error": "k must be nonnegative, got -1", "kind": "invalid-parameter"}

@@ -170,6 +170,12 @@ def test_make_scaling_rejects_large_s(eynard3_pot):
         make_scaling(eynard3_pot, 100, 9.0)
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+def test_make_scaling_rejects_non_finite_s(eynard3_pot, s):
+    with pytest.raises(InvalidParameterError, match=r"\|s\| <= 8.0 required"):
+        make_scaling(eynard3_pot, 100, s)
+
+
 def test_find_xstar_nt_unit_branch(eynard3_pot):
     x = find_xstar_nt(eynard3_pot, 0.99, 0.0)
     assert abs(x - 3.0) < 1e-6

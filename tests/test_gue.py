@@ -242,3 +242,11 @@ def test_psi_rejects_k_zero():
 def test_psi_rejects_real_zeta():
     with pytest.raises(OffAxisRequiredError):
         psi_matrix(1.0, 1)
+
+
+def test_kernel_grid_rejects_negative_k():
+    # the same message as the summed form, naming the k the caller gave
+    with pytest.raises(InvalidParameterError, match=r"^k must be nonnegative, got -1$"):
+        gue_kernel_grid(-1, np.array([0.0, 0.5]))
+    with pytest.raises(InvalidParameterError, match=r"^k must be nonnegative, got -1$"):
+        gue_kernel_sum(-1, 0.0, 0.5)

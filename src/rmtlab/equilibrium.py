@@ -152,7 +152,9 @@ def _residuals(dv1: np.ndarray, a: np.ndarray, b: np.ndarray, mass: float):
     return f1, f2
 
 
-def _step_length(dv1, mass, a, b, step, norm0):
+def _step_length(
+    dv1: np.ndarray, mass: float, a: float, b: float, step: np.ndarray, norm0: float
+) -> float:
     """Damping factor of the backtracking line search from (a, b) along step.
 
     The first of 1, 1/2, ..., 2^-39 whose trial keeps a < b and has a

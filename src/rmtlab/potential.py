@@ -51,8 +51,8 @@ class Potential:
         for _ in range(self.degree + 1):
             c = npoly.polyder(c)
             out.append(c)
-        for c in out:
-            c.flags.writeable = False
+        for arr in out:
+            arr.flags.writeable = False
         return tuple(out)
 
     def deriv_coeffs(self, order: int = 1) -> np.ndarray:

@@ -97,9 +97,9 @@ def _kernel_and_k(args: argparse.Namespace) -> tuple[np.ndarray, int]:
 
 def _run_compare(args: argparse.Namespace) -> str:
     values, k = _kernel_and_k(args)
-    report = experiments.compare_to_gue(values, args.grid, k, n=args.n, s=args.s)
+    report = experiments.compare_to_gue(values, args.grid, k)
     grid = {"grid_max": args.grid.u_max, "grid_min": args.grid.u_min, "grid_step": args.grid.step}
-    return json_dumps(asdict(report) | grid) + "\n"
+    return json_dumps(asdict(report) | grid | {"n": args.n, "s": args.s}) + "\n"
 
 
 def _run_sweep(args: argparse.Namespace) -> str:

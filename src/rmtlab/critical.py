@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -59,19 +59,9 @@ class ScalingParams:
         return float(find_xstar_nt(self.potential, self.t, self.m, strict=False))
 
     def json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "s": self.s,
-            "nu": self.nu,
-            "k": self.k,
-            "delta": self.delta,
-            "m": self.m,
-            "x_star": self.x_star,
-            "x_star_nt": self.x_star_nt,
-            "c": self.c,
-            "J": self.J,
-        }
+        """Every field but the potential, and x_star_nt."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "potential"}
+        return out | {"x_star_nt": self.x_star_nt}
 
 
 @lru_cache(maxsize=256)
@@ -181,13 +171,8 @@ def scaling_J(a: float, b: float, x_star: float) -> float:
     return 2.0 * math.asinh(math.sqrt((x_star - b) / (b - a)))
 
 
-def t_to_s(t: float, n: int, J: float) -> float:
-    """s = 2 (t-1) (n / log n) J."""
-    return 2.0 * (t - 1.0) * n / np.log(n) * J
-
-
 def s_to_t(s: float, n: int, J: float) -> float:
-    """Inverse of t_to_s: t = 1 + s log(n) / (2 n J)."""
+    """t = 1 + s log(n) / (2 n J); the inverse is s = 2 (t-1) (n / log n) J."""
     if n < 2:
         raise InvalidParameterError(f"n must be at least 2, got {n}")
     if J <= 0:

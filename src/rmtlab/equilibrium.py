@@ -33,7 +33,7 @@ the same exact sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from math import comb
 
 import numpy as np
@@ -91,21 +91,16 @@ class EquilibriumData:
     def radius(self) -> float:
         return 0.5 * (self.b - self.a)
 
-    def vt(self, x, order: int = 0):
-        return self.potential.eval(x, order) / self.t
+    def vt(self, x):
+        return self.potential.eval(x) / self.t
 
     def h(self, x):
         return npoly.polyval(x, np.asarray(self.h_coeffs))
 
     def json_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "t": self.t,
-            "a": self.a,
-            "b": self.b,
-            "h_coeffs": list(self.h_coeffs),
-            "ell": self.ell,
-        }
+        """Every field but the potential and the Chebyshev expansion."""
+        skip = ("potential", "cheb")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
 
 
 def _horner(c: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -369,11 +364,9 @@ def log_potential(eq: EquilibriumData, x):
     return float(out[0]) if scalar else out
 
 
-def lagrange_ell(eq: EquilibriumData, x0: float | None = None) -> float:
-    """Lagrange constant: 2 * log_potential - V_t evaluated inside the band."""
-    if x0 is None:
-        x0 = eq.midpoint
-    return 2.0 * log_potential(eq, x0) - float(eq.vt(x0))
+def lagrange_ell(eq: EquilibriumData) -> float:
+    """Lagrange constant: 2 * log_potential - V_t at the band's midpoint."""
+    return 2.0 * log_potential(eq, eq.midpoint) - float(eq.vt(eq.midpoint))
 
 
 def variational_residual(eq: EquilibriumData, x):

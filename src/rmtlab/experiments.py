@@ -25,7 +25,8 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
-        if self.step <= 0 or self.u_max <= self.u_min:
+        finite = np.isfinite((self.u_min, self.u_max, self.step)).all()
+        if not finite or self.step <= 0 or self.u_max <= self.u_min:
             raise InvalidParameterError(f"bad grid spec {self}")
 
     def points(self) -> np.ndarray:
@@ -42,8 +43,6 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    n: int
-    s: float
     k: int
     sup_error: float
     l2_error: float
@@ -85,21 +84,13 @@ def rescaled_kernel(
     return orthopoly.kernel_matrix(table, pts) / scale
 
 
-def compare_to_gue(
-    values: np.ndarray,
-    grid: GridSpec,
-    k: int,
-    n: int = 0,
-    s: float = float("nan"),
-) -> ComparisonReport:
+def compare_to_gue(values: np.ndarray, grid: GridSpec, k: int) -> ComparisonReport:
     """Sup and scaled-l2 distance of a kernel grid from the size-k GUE kernel."""
     pts = grid.points()
     if values.shape != (len(pts), len(pts)):
         raise InvalidParameterError("values matrix does not match the grid")
     diff = values - gue.gue_kernel_grid(k, pts)
     return ComparisonReport(
-        n=n,
-        s=s,
         k=k,
         sup_error=float(np.abs(diff).max()),
         l2_error=float(grid.step * np.sqrt(np.sum(diff * diff))),
@@ -236,4 +227,4 @@ def pipeline_report(
     """Rescaled kernel compared against the GUE size chosen by the k-rule."""
     params = critical.make_scaling(potential, n, s)
     values = rescaled_kernel(potential, n, s, grid)
-    return params, compare_to_gue(values, grid, params.k, n=n, s=s)
+    return params, compare_to_gue(values, grid, params.k)

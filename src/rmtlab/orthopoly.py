@@ -20,11 +20,11 @@ Every weighted polynomial value psi_k = p_k exp(-n V_t / 2) this module
 evaluates comes from one vectorized sweep, _recur: the three-term recurrence
 seeded with the weighted p_0, carrying a log scale per point so intermediate
 values neither overflow nor are lost to underflow while they still matter.
-Scalar kernel and eval_weighted run it on one or two points, weighted_sweep
-(behind kernel_matrix and kernel_diagonal) on a grid, gram_residual on the
-nodes. The Stieltjes build keeps a loop of its own, since it forms alpha and
-beta as it goes. This module alone chooses the quadrature window and the
-node count; weighted_sweep refuses points outside the window.
+Scalar kernel runs it on two points, weighted_sweep (behind kernel_matrix
+and kernel_diagonal) on a grid, gram_residual on the nodes. The Stieltjes
+build keeps a loop of its own, since it forms alpha and beta as it goes.
+This module alone chooses the quadrature window and the node count;
+weighted_sweep refuses points outside the window.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from numpy.polynomial.legendre import leggauss
 from . import critical, equilibrium
 from .errors import (
     InvalidParameterError,
+    NoSingularPointError,
     NumericalBreakdownError,
     PrecisionLimitError,
+    WrongOrderError,
 )
 from .potential import Potential
 
@@ -67,20 +69,6 @@ class QuadratureRule:
 
 
 @dataclass(frozen=True)
-class WeightedValue:
-    """sign * exp(log_mag); sign 0 forces the -inf sentinel."""
-
-    log_mag: float
-    sign: int
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * float(np.exp(self.log_mag))
-
-
-@dataclass(frozen=True)
 class RecurrenceTable:
     """Three-term recurrence data: x p_j = sqrt(b_{j+1}) p_{j+1} + a_j p_j + sqrt(b_j) p_{j-1}.
 
@@ -101,20 +89,14 @@ class RecurrenceTable:
     def vt_coeffs(self) -> np.ndarray:
         return np.asarray(self.potential.coeffs) / self.t
 
-    def log_weight_half(self, x):
-        """log of exp(-n (V_t - min V_t) / 2) at x."""
-        return -0.5 * self.n * (
-            npoly.polyval(x, self.vt_coeffs()) - self.rule.vt_min
-        )
+
+_GL = leggauss(_ORDER)  # every panel's nodes and weights, read-only
+_GL[0].flags.writeable = _GL[1].flags.writeable = False
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """leggauss(_ORDER), computed once and read-only."""
-    xs, ws = leggauss(_ORDER)
-    xs.flags.writeable = False
-    ws.flags.writeable = False
-    return xs, ws
+def _log_weight_half(x, vt: np.ndarray, n: int, vt_min: float):
+    """log of exp(-n (V_t - min V_t) / 2) at x, for V_t's coefficients vt."""
+    return -0.5 * n * (npoly.polyval(x, vt) - vt_min)
 
 
 @lru_cache(maxsize=128)
@@ -159,13 +141,14 @@ def quadrature_support(
     gap-closing point and is positive elsewhere; |p_k|^2 exp(-n V_t) for k
     near n decays like exp(-excess), so the window holds x* at every n.
     The excess is sampled on a bracket that doubles outward from the band
-    until both ends exceed the level, and the window runs between the
+    until both ends exceed the level and the right end is past x* (from
+    detect_singular, when V has one), and the window runs between the
     outermost samples below it, so a barrier between the band and x*
-    cannot split it. The samples of 2 U_1 are computed once per potential
-    and bracket; each call adds only V_t. The level is raised by the
-    smallest excess when that is positive: a constant added to V then
-    moves no window at t != 1. The window is expanded by five percent of
-    its width on each side.
+    can neither split it nor end it short of x*. The samples of 2 U_1 are
+    computed once per potential and bracket; each call adds only V_t. The
+    level is raised by the smallest excess when that is positive: a
+    constant added to V then moves no window at t != 1. The window is
+    expanded by five percent of its width on each side.
 
     The rule has panels of 63 Gauss-Legendre nodes each, uniform over the
     window, and at least max(2000, 5 n (hi - lo) / (b - a)) nodes, where
@@ -184,11 +167,15 @@ def quadrature_support(
     crit = crit[np.abs(crit.imag) < 1e-9].real
     vt_min = float(np.min(npoly.polyval(crit, vt)))
     eq = critical.unit_equilibrium(potential)
+    try:
+        x_star = critical.detect_singular(potential)
+    except (NoSingularPointError, WrongOrderError):
+        x_star = -np.inf
     for doubling in range(1, _MAX_DOUBLINGS + 1):
         x, two_u = _log_potential_samples(potential, doubling)
         excess = n * (npoly.polyval(x, vt) - two_u + eq.ell)
         top = level + max(float(excess.min()), 0.0)
-        if excess[0] > top and excess[-1] > top:
+        if excess[0] > top and excess[-1] > top and x[-1] > x_star:
             break
     else:
         raise NumericalBreakdownError("effective potential never leaves the window level")
@@ -205,7 +192,7 @@ def quadrature_support(
             )
         total = total_nodes
     panels = -(-total // _ORDER)
-    xs, ws = _gauss_legendre()
+    xs, ws = _GL
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -245,7 +232,7 @@ def build_recurrence(
     level, total = _LEVEL, None
     for _ in range(_WIDENINGS):
         rule = quadrature_support(potential, n, t, total, level=level)
-        log_half = -0.5 * n * (npoly.polyval(rule.nodes, vt) - rule.vt_min)
+        log_half = _log_weight_half(rule.nodes, vt, n, rule.vt_min)
         alpha, beta, log_gamma0, edge = _stieltjes(rule, log_half, N)
         if edge > _EDGE_TOL:
             failure = f"degree-{N} polynomials still carry weight {edge:.1e} at the window ends"
@@ -396,7 +383,9 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
     if np.isnan(pts).any():
         raise InvalidParameterError("points must not be NaN")
     sb = np.sqrt(table.beta)
-    L = table.log_gamma0 + table.log_weight_half(pts)
+    L = table.log_gamma0 + _log_weight_half(
+        pts, table.vt_coeffs(), table.n, table.rule.vt_min
+    )
     prev = np.zeros_like(pts)
     cur = np.ones_like(pts)
     for j in range(upto + 1):
@@ -413,25 +402,6 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
             cur = cur / f
 
 
-def _last(table: RecurrenceTable, pts, k: int):
-    """The last yield of _recur: psi_{k-1} and psi_k at the points."""
-    for step in _recur(table, np.asarray(pts, dtype=float), k):
-        pass
-    return step
-
-
-def eval_weighted(table: RecurrenceTable, k: int, x: float) -> WeightedValue:
-    """psi_k(x) = p_k(x) exp(-n V_t(x)/2) in overflow-safe form."""
-    if not 0 <= k <= table.N:
-        raise InvalidParameterError(f"k = {k} outside the table's degrees 0..{table.N}")
-    _, cur, L = _last(table, [x], k)
-    if cur[0] == 0.0:
-        return WeightedValue(log_mag=-np.inf, sign=0)
-    return WeightedValue(
-        log_mag=float(L[0] + np.log(abs(cur[0]))), sign=1 if cur[0] > 0 else -1
-    )
-
-
 def kernel(table: RecurrenceTable, x: float, y: float) -> float:
     """Rank-n projection kernel K_n(x, y), symmetric and continuous across x = y."""
     n = table.n
@@ -439,7 +409,8 @@ def kernel(table: RecurrenceTable, x: float, y: float) -> float:
         raise InvalidParameterError("table must hold degrees through n")
     if abs(x - y) < _DIAG_SWITCH * (1.0 + abs(x)):
         return _kernel_confluent(table, x, y)
-    prev, cur, L = _last(table, [x, y], n)
+    for prev, cur, L in _recur(table, np.array([x, y], dtype=float), n):
+        pass
     num = cur[0] * prev[1] - cur[1] * prev[0]
     if num == 0.0:
         return 0.0

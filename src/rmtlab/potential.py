@@ -73,15 +73,6 @@ class Potential:
             raise InvalidParameterError(f"order must be in [0, {self.degree + 1}]")
         return npoly.polyval(x, self.deriv_coeffs(order))
 
-    def rescale(self, t: float) -> "Potential":
-        """Return the weakened field V/t."""
-        if t <= 0:
-            raise InvalidParameterError(f"t must be positive, got {t}")
-        return Potential(tuple(c / t for c in self.coeffs))
-
-    def __call__(self, x):
-        return self.eval(x)
-
 
 _GL_NODES, _GL_WEIGHTS = leggauss(120)
 

@@ -230,6 +230,20 @@ def test_out_writes_csv(tmp_path):
     assert target.read_text() == run_cli("gue", "--k", "1", "--grid", "0,1,0.5").stdout
 
 
+@pytest.mark.parametrize("grid", ["nan,1,0.5", "0,1,nan", "0,inf,0.5"])
+@pytest.mark.parametrize("cmd", ["gue", "kernel"])
+def test_non_finite_grid_is_a_usage_error(cmd, grid, eynard_config):
+    # rejected while the arguments are parsed, like any other bad grid
+    if cmd == "gue":
+        args = ("--k", "1")
+    else:
+        args = ("--potential", eynard_config, "--n", "40", "--s", "1")
+    cp = run_cli(cmd, *args, "--grid", grid)
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.endswith(f"error: argument --grid: invalid from_string value: '{grid}'\n")
+
+
 @pytest.mark.parametrize("cmd", ["kernel", "count", "compare", "lambda-fit"])
 def test_nan_s_is_invalid(cmd, eynard_config):
     cp = run_cli(cmd, "--potential", eynard_config, "--n", "40", "--s", "nan")

@@ -20,7 +20,6 @@ from rmtlab import (
     s_to_t,
     scaling_J,
     solve,
-    t_to_s,
     unit_equilibrium,
 )
 
@@ -136,8 +135,10 @@ def test_s_to_t_fixed_point():
 
 
 def test_round_trip():
+    # s_to_t's inverse, s = 2 (t-1) (n / log n) J
     J = 0.9624236501192069
-    assert abs(t_to_s(s_to_t(1.7, 80, J), 80, J) - 1.7) < 1e-14
+    t = s_to_t(1.7, 80, J)
+    assert abs(2.0 * (t - 1.0) * 80 / np.log(80) * J - 1.7) < 1e-14
 
 
 def test_make_scaling_integer_s(eynard3_pot):
@@ -293,7 +294,9 @@ def test_phix_growth_check_desk_scale(eynard3_pot):
 
 
 def test_scaling_json_fields(eynard3_pot):
+    # the keys come from the fields: a new field must show up here
     d = make_scaling(eynard3_pot, 100, 1.0).json_dict()
+    assert len(d) == 11
     assert set(d) == {
         "n", "t", "s", "nu", "k", "delta", "m", "x_star", "x_star_nt", "c", "J",
     }

@@ -144,11 +144,12 @@ def test_log_potential_symmetry(semicircle):
 
 
 def test_lagrange_ell_invariance(semicircle, quadratic):
+    # 2 U - V_t is the same constant at every point of the band
     x0 = semicircle.a + 0.3 * (semicircle.b - semicircle.a)
-    assert abs(lagrange_ell(semicircle, x0) - semicircle.ell) < 1e-8
+    assert abs(2.0 * log_potential(semicircle, x0) - semicircle.vt(x0) - semicircle.ell) < 1e-8
     eq = solve(quadratic, 1.0, 0.99)
     x1 = eq.a + 0.7 * (eq.b - eq.a)
-    assert abs(lagrange_ell(eq, x1) - lagrange_ell(eq, eq.midpoint)) < 1e-8
+    assert abs(2.0 * log_potential(eq, x1) - eq.vt(x1) - lagrange_ell(eq)) < 1e-8
 
 
 def test_variational_residual_on_support(semicircle, eynard_eq):
@@ -247,7 +248,9 @@ def test_two_cut_input_fails_loudly():
 
 
 def test_json_dict_fields(semicircle):
+    # the keys come from the fields: a new field must show up here
     d = semicircle.json_dict()
+    assert len(d) == 6
     assert set(d) == {"mass", "t", "a", "b", "h_coeffs", "ell"}
 
 

@@ -13,9 +13,10 @@ from rmtlab import (
     expected_count,
     gue_kernel_grid,
     lambda_fit,
+    make_eynard,
     rescaled_kernel,
 )
-from rmtlab.experiments import best_single_index, pipeline_report
+from rmtlab.experiments import best_single_index, pipeline_report, recurrence_for
 
 GRID = GridSpec(-3.0, 3.0, 0.25)
 
@@ -44,8 +45,16 @@ def test_grid_points():
 
 
 def test_grid_validation():
-    with pytest.raises(InvalidParameterError):
-        GridSpec(1.0, -1.0, 0.25)
+    # NaN passes step <= 0 and u_max <= u_min, so finiteness is checked apart
+    for bounds in (
+        (1.0, -1.0, 0.25),
+        (np.nan, 1.0, 0.5),
+        (0.0, 1.0, np.nan),
+        (0.0, np.inf, 0.5),
+        (-np.inf, 0.0, 0.5),
+    ):
+        with pytest.raises(InvalidParameterError):
+            GridSpec(*bounds)
 
 
 def test_compare_self_is_zero():
@@ -202,6 +211,18 @@ def test_large_n_grids_inside_window(eynard3_pot):
     # a grid far outside the window still meets the precision limit
     with pytest.raises(PrecisionLimitError):
         rescaled_kernel(eynard3_pot, 40, 1.0, GridSpec(-400.0, 400.0, 20.0))
+
+
+def test_window_reaches_x_star_beyond_first_bracket():
+    # eynard e = 6 puts x* = 6 past the first bracket, [-4, 4]; at n = 2560 the
+    # barrier n eta_max is far above the window level, so a bracket stopped
+    # at its ends would end the window at the barrier, short of x*
+    pot, _ = make_eynard(6.0)
+    n = 2560
+    count = expected_count(pot, n, 1.0)
+    assert np.isfinite(count) and 0.0 < count < 1.0
+    table = recurrence_for(pot, n, critical.make_scaling(pot, n, 1.0).t)
+    assert table.rule.hi > critical.detect_singular(pot)
 
 
 def test_grid_adequacy(eynard3_pot):

@@ -1,17 +1,17 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.hermite import hermval
 from numpy.polynomial.legendre import leggauss
 
 from rmtlab import (
     InvalidParameterError,
     Potential,
     PrecisionLimitError,
-    WeightedValue,
     build_recurrence,
-    eval_weighted,
     kernel,
     kernel_matrix,
     make_scaling,
@@ -23,12 +23,20 @@ from rmtlab.critical import unit_equilibrium
 from rmtlab.equilibrium import log_potential
 from rmtlab.experiments import recurrence_for
 from rmtlab.orthopoly import (
-    _gauss_legendre,
+    _GL,
     _log_potential_samples,
+    _recur,
     gram_residual,
     kernel_diagonal,
     weighted_sweep,
 )
+
+
+def _psi(table, k, pts):
+    """psi_k = p_k exp(-n V_t / 2) at the points: the last yield of _recur."""
+    for _, cur, L in _recur(table, np.asarray(pts, dtype=float), k):
+        pass
+    return cur * np.exp(L)
 
 
 @pytest.fixture(scope="module")
@@ -76,20 +84,26 @@ def test_gram_orthonormality(hermite_table, eynard_table):
 
 def test_eval_weighted_odd_vanishes(hermite_table):
     # exact zero up to the roundoff in alpha_0
-    assert abs(eval_weighted(hermite_table, 1, 0.0).value) < 1e-12
+    assert abs(_psi(hermite_table, 1, [0.0])[0]) < 1e-12
 
 
 def test_eval_weighted_constant(hermite_table):
-    val = eval_weighted(hermite_table, 0, 0.0)
-    assert abs(val.value - (10.0 / np.pi) ** 0.25) < 1e-10
+    # for exp(-n x^2), p_k(x) = n^{1/4} H_k(sqrt(n) x) / sqrt(2^k k! sqrt(pi))
+    assert abs(_psi(hermite_table, 0, [0.0])[0] - (10.0 / np.pi) ** 0.25) < 1e-10
+    x = np.array([-1.3, -0.4, 0.0, 0.25, 0.9, 2.1])
+    for k in range(13):
+        unit = np.zeros(k + 1)
+        unit[k] = 1.0 / np.sqrt(2.0**k * math.factorial(k) * np.sqrt(np.pi))
+        exact = 10.0**0.25 * hermval(np.sqrt(10.0) * x, unit) * np.exp(-5.0 * x * x)
+        assert np.max(np.abs(_psi(hermite_table, k, x) - exact)) < 1e-10
 
 
 @pytest.mark.parametrize("k", [0, 5, 10])
 def test_weighted_norms(hermite_table, k):
-    # scalar evaluation path checked against the rule directly
+    # one point at a time, checked against the rule directly
     x = hermite_table.rule.nodes
     w = hermite_table.rule.weights
-    full = np.array([eval_weighted(hermite_table, k, xi).value for xi in x])
+    full = np.array([_psi(hermite_table, k, [xi])[0] for xi in x])
     assert abs(np.sum(w * full * full) - 1.0) < 1e-8
 
 
@@ -254,8 +268,8 @@ def test_oracles_along_n_ladder(eynard3_pot, n):
         assert abs(cd - direct) <= 1e-8 * (1.0 + abs(cd))
         # the scalar and the vectorized paths run one sweep
         assert cd == pytest.approx(kernel_matrix(table, [x, y])[0, 1], rel=1e-13)
-        psi_n = weighted_sweep(table, [x])[1][0]
-        assert eval_weighted(table, n, x).value == pytest.approx(psi_n, rel=1e-13)
+        psi_n = weighted_sweep(table, [x, y])[1][0]
+        assert _psi(table, n, [x])[0] == pytest.approx(psi_n, rel=1e-13)
     with pytest.raises(PrecisionLimitError):
         kernel_matrix(table, [table.rule.lo - 1.0, 0.0])
     with pytest.raises(PrecisionLimitError):
@@ -283,12 +297,6 @@ def test_table_size_bound(quadratic):
         build_recurrence(quadratic, 10, 1.0, 30)
 
 
-def test_eval_weighted_degree_bound(hermite_table):
-    for k in (13, -1):
-        with pytest.raises(InvalidParameterError):
-            eval_weighted(hermite_table, k, 0.0)
-
-
 @pytest.mark.parametrize("total_nodes", [0, 1, 64])
 def test_total_nodes_below_default(eynard3_pot, total_nodes):
     # fewer nodes than the window-sized default (the 2000-node floor at
@@ -300,7 +308,7 @@ def test_total_nodes_below_default(eynard3_pot, total_nodes):
 def test_gauss_legendre_rule_cached(eynard3_pot):
     # panels of 63 leggauss nodes, uniform over the window, as many as the
     # window-sized node count needs (at the 2000-node floor, the former
-    # 32 x 63 rule); the cached rule is shared and read-only
+    # 32 x 63 rule); the panel rule is a read-only module constant
     eq = unit_equilibrium(eynard3_pot)
     xs, ws = leggauss(63)
     for n, panels in ((40, 32), (320, 56)):
@@ -312,9 +320,8 @@ def test_gauss_legendre_rule_cached(eynard3_pot):
         half = 0.5 * (edges[1:] - edges[:-1])
         assert np.array_equal(rule.nodes, (mids[:, None] + half[:, None] * xs).ravel())
         assert np.array_equal(rule.weights, (half[:, None] * ws).ravel())
-    cached = _gauss_legendre()
-    assert cached is _gauss_legendre()
-    assert not cached[0].flags.writeable and not cached[1].flags.writeable
+    assert np.array_equal(_GL[0], xs) and np.array_equal(_GL[1], ws)
+    assert not _GL[0].flags.writeable and not _GL[1].flags.writeable
 
 
 def _uncached_window(pot, n, t, level=805.0):
@@ -447,10 +454,5 @@ def test_scalar_kernel_nan(hermite_table, x, y):
 @pytest.mark.parametrize("k", [0, 3])
 def test_eval_weighted_nan(hermite_table, k):
     with pytest.raises(InvalidParameterError):
-        eval_weighted(hermite_table, k, np.nan)
-
-
-def test_weighted_value_sentinel():
-    wv = WeightedValue(log_mag=-np.inf, sign=0)
-    assert wv.value == 0.0
+        _psi(hermite_table, k, [np.nan])
 

@@ -59,22 +59,6 @@ def test_derivative_matches_finite_difference(coeffs, x):
     assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
 
 
-def test_rescale_divides_coefficients():
-    v = Potential((0.0, 0.0, 1.0))
-    assert v.rescale(2.0).coeffs == (0.0, 0.0, 0.5)
-
-
-def test_rescale_identity():
-    v = Potential((0.0, 1.0, 0.5, 0.0, 2.0))
-    assert v.rescale(1.0).coeffs == v.coeffs
-
-
-def test_rescale_rejects_nonpositive_t():
-    v = Potential((0.0, 0.0, 0.0, 0.0, 1.0))
-    with pytest.raises(InvalidParameterError):
-        v.rescale(0.0)
-
-
 def test_degree_validation():
     with pytest.raises(InvalidParameterError):
         Potential((0.0, 1.0, 0.0, 2.0))  # odd degree

@@ -152,6 +152,8 @@ def expected_count(
     Counts the eigenvalues sitting in the nucleating band; the default
     window is count_delta's.
     """
+    if delta is not None and not np.isfinite(delta):
+        raise InvalidParameterError(f"delta must be finite, got {delta}")
     params = critical.make_scaling(potential, n, s)
     eq = critical.unit_equilibrium(potential)
     if delta is None:

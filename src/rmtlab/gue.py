@@ -2,7 +2,8 @@
 
 Hermite polynomials here are orthonormal for the weight exp(-x^2), with
 leading coefficient 2^{k/2} / (pi^{1/4} sqrt(k!)), evaluated through the
-orthonormal recurrence (stable far past the degrees used here).
+orthonormal recurrence (stable far past the degrees used here); one run gives
+a grid kernel, all panels of a Cauchy quadrature, or psi_matrix's H_{k-1}, H_k.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ _DIAG_SWITCH = 1e-8
 
 
 def _hermite_values(x: np.ndarray, count: int):
-    """Yield H_0(x), ..., H_{count-1}(x) from one pass of the recurrence."""
+    """Yield (H_{j-1}(x), H_j(x)) for j = 0..count-1 from one pass of the recurrence."""
     prev = np.zeros_like(x)
     cur = np.full_like(x, np.pi**-0.25)
     for j in range(count):
         if j:
             prev, cur = cur, (x * cur - np.sqrt((j - 1) / 2.0) * prev) / np.sqrt(j / 2.0)
-        yield cur
+        yield prev, cur
 
 
 def hermite(k: int, x):
@@ -40,7 +41,7 @@ def hermite(k: int, x):
     scalar = x.ndim == 0
     x = np.atleast_1d(x).astype(np.result_type(x, 1.0), copy=False)
     out = np.zeros_like(x)
-    for out in _hermite_values(x, k + 1):
+    for _, out in _hermite_values(x, k + 1):
         pass
     return out[0] if scalar else out
 
@@ -65,7 +66,7 @@ def gue_kernel_sum(k: int, u: float, v: float) -> float:
     """Summed form e^{-(u^2+v^2)/2} sum_{j<k} H_j(u) H_j(v); empty sum for k = 0."""
     if k < 0:
         raise InvalidParameterError(f"k must be nonnegative, got {k}")
-    acc = sum(h[0] * h[1] for h in _hermite_values(np.array([u, v], dtype=float), k))
+    acc = sum(h[0] * h[1] for _, h in _hermite_values(np.array([u, v], dtype=float), k))
     return float(np.exp(-(u * u + v * v) / 2.0) * acc)
 
 
@@ -76,13 +77,13 @@ def gue_kernel_grid(k: int, grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if k == 0:
         return np.zeros((len(grid), len(grid)))
-    hk = hermite(k, grid)
-    hk1 = hermite(k - 1, grid)
+    diag = 0  # H_{-1}^2 + ... + H_{k-1}^2, added in order
+    for hk1, hk in _hermite_values(grid, k + 1):
+        diag = diag + hk1**2
     outer = np.outer(hk, hk1)
     du = np.subtract.outer(grid, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         kk = np.sqrt(k / 2.0) * (outer - outer.T) / du
-    diag = sum(h**2 for h in _hermite_values(grid, k))
     np.fill_diagonal(kk, diag)
     gauss = np.exp(-0.5 * np.add.outer(grid * grid, grid * grid))
     return kk * gauss
@@ -108,12 +109,13 @@ def _cauchy_quadrature(k: int, zeta: complex) -> complex:
         span *= 2
     cuts.add(x0)
     edges = np.array(sorted(cuts))
+    half = 0.5 * (edges[1:] - edges[:-1])
     xs, ws = _GL
+    u = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * xs
+    f = hermite(k, u) * np.exp(-u * u) / (u - zeta)
     total = 0.0 + 0.0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xs
-        f = hermite(k, u) * np.exp(-u * u) / (u - zeta)
-        total += 0.5 * (hi - lo) * np.sum(ws * f)
+    for h, panel in zip(half, np.sum(ws * f, axis=1)):
+        total += h * panel
     return complex(total)
 
 
@@ -164,8 +166,8 @@ def psi_matrix(zeta: complex, k: int) -> PsiMatrix:
     Row one holds the monic H_k and its scaled Cauchy transform, row two
     the weighted H_{k-1} pair; the columns carry exp(-zeta^2/2) and
     exp(+zeta^2/2) respectively. Where |Re zeta^2| / 2 exceeds the double
-    exponent range (about 709.78) one of them overflows, and the matrix
-    raises PrecisionLimitError.
+    exponent range (about 709.78) one of them overflows; there, from k = 171
+    on and wherever an entry overflows, the matrix raises PrecisionLimitError.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be a positive integer, got {k}")
@@ -176,21 +178,27 @@ def psi_matrix(zeta: complex, k: int) -> PsiMatrix:
         raise PrecisionLimitError(
             f"exp(+-zeta^2/2) leaves the double range at zeta = {zeta}"
         )
-    inv_kappa_k = np.pi**0.25 * np.sqrt(factorial(k)) / 2 ** (k / 2.0)
-    kappa_km1 = 2 ** ((k - 1) / 2.0) / (np.pi**0.25 * np.sqrt(factorial(k - 1)))
+    try:
+        inv_kappa_k = np.pi**0.25 * np.sqrt(float(factorial(k))) / 2 ** (k / 2.0)
+    except OverflowError:
+        raise PrecisionLimitError(f"the degree-{k} normalization leaves the double range") from None
+    kappa_km1 = 2 ** ((k - 1) / 2.0) / (np.pi**0.25 * np.sqrt(float(factorial(k - 1))))
+    *_, (h_km1, h_k) = _hermite_values(np.array([zeta]), k + 1)
     e_minus = np.exp(-zeta * zeta / 2.0)
     e_plus = np.exp(zeta * zeta / 2.0)
     entries = np.array(
         [
             [
-                inv_kappa_k * hermite(k, zeta) * e_minus,
+                inv_kappa_k * h_k[0] * e_minus,
                 inv_kappa_k / (2j * np.pi) * hermite_cauchy(k, zeta) * e_plus,
             ],
             [
-                -2j * np.pi * kappa_km1 * hermite(k - 1, zeta) * e_minus,
+                -2j * np.pi * kappa_km1 * h_km1[0] * e_minus,
                 -kappa_km1 * hermite_cauchy(k - 1, zeta) * e_plus,
             ],
         ],
         dtype=complex,
     )
+    if not np.isfinite(entries).all():
+        raise PrecisionLimitError(f"an entry leaves the double range at zeta = {zeta}, k = {k}")
     return PsiMatrix(entries=entries)

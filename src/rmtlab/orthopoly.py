@@ -20,11 +20,11 @@ Every weighted polynomial value psi_k = p_k exp(-n V_t / 2) this module
 evaluates comes from one vectorized sweep, _recur: the three-term recurrence
 seeded with the weighted p_0, carrying a log scale per point so intermediate
 values neither overflow nor are lost to underflow while they still matter.
-Scalar kernel runs it on two points, weighted_sweep (behind kernel_matrix
-and kernel_diagonal) on a grid, gram_residual on the nodes. The Stieltjes
-build keeps a loop of its own, since it forms alpha and beta as it goes.
-This module alone chooses the quadrature window and the node count;
-weighted_sweep refuses points outside the window.
+weighted_sweep (behind kernel_matrix, kernel_diagonal and scalar kernel)
+runs it on a grid, the confluent sum on two points, gram_residual on the
+nodes. The Stieltjes build keeps a loop of its own, since it forms alpha and
+beta as it goes. This module alone chooses the quadrature window and the
+node count; _recur is the one gate of every evaluation.
 """
 
 from __future__ import annotations
@@ -377,11 +377,20 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
     far tails a low-degree value can underflow to zero; it is then below
     double resolution next to the values of higher degree, which regrow
     from the mantissa. No yielded array is written to later, so callers
-    may keep them. Raises InvalidParameterError for NaN points, on the
-    first step, so every evaluation refuses them.
+    may keep them. The one gate of every evaluation, on the first step:
+    raises InvalidParameterError for NaN points or upto outside 0..table.N,
+    and PrecisionLimitError for points outside the quadrature window.
     """
     if np.isnan(pts).any():
         raise InvalidParameterError("points must not be NaN")
+    if not 0 <= upto <= table.N:
+        raise InvalidParameterError(f"degree {upto} outside the table's degrees 0..{table.N}")
+    lo, hi = table.rule.lo, table.rule.hi
+    if np.any((pts < lo) | (pts > hi)):
+        raise PrecisionLimitError(
+            f"points [{pts.min():.4f}, {pts.max():.4f}] leave the quadrature window "
+            f"[{lo:.4f}, {hi:.4f}]; the weight there is below double-precision resolution"
+        )
     sb = np.sqrt(table.beta)
     L = table.log_gamma0 + _log_weight_half(
         pts, table.vt_coeffs(), table.n, table.rule.vt_min
@@ -403,19 +412,10 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
 
 
 def kernel(table: RecurrenceTable, x: float, y: float) -> float:
-    """Rank-n projection kernel K_n(x, y), symmetric and continuous across x = y."""
-    n = table.n
-    if table.N < n:
-        raise InvalidParameterError("table must hold degrees through n")
+    """Rank-n projection kernel K_n(x, y): kernel_matrix's entry, the confluent sum near x = y."""
     if abs(x - y) < _DIAG_SWITCH * (1.0 + abs(x)):
         return _kernel_confluent(table, x, y)
-    for prev, cur, L in _recur(table, np.array([x, y], dtype=float), n):
-        pass
-    num = cur[0] * prev[1] - cur[1] * prev[0]
-    if num == 0.0:
-        return 0.0
-    mag = np.exp(L[0] + L[1] + np.log(abs(num)))
-    return float(np.sqrt(table.beta[n]) * np.sign(num) * mag / (x - y))
+    return float(kernel_matrix(table, np.array([x, y], dtype=float))[0, 1])
 
 
 def _kernel_confluent(table: RecurrenceTable, x: float, y: float) -> float:
@@ -436,17 +436,9 @@ def weighted_sweep(table: RecurrenceTable, pts: np.ndarray):
     Returns (psi_{n-1}, psi_n, diag) in absolute scale, where diag is the
     kernel diagonal sum over degrees below n. Values below double
     resolution, as in the window's far tails, come out as zero. Raises
-    PrecisionLimitError for points outside the window, where the weight is
-    below double resolution, and InvalidParameterError for NaN points.
+    _recur's errors.
     """
     pts = np.asarray(pts, dtype=float)
-    rule = table.rule
-    if np.any((pts < rule.lo) | (pts > rule.hi)):
-        raise PrecisionLimitError(
-            f"points [{pts.min():.4f}, {pts.max():.4f}] leave the quadrature "
-            f"window [{rule.lo:.4f}, {rule.hi:.4f}]; the weight there is below "
-            "double-precision resolution"
-        )
     diag = np.zeros_like(pts)
     for j, (_, cur, L) in enumerate(_recur(table, pts, table.n)):
         psi = cur * np.exp(L)
@@ -476,8 +468,6 @@ def gram_residual(table: RecurrenceTable, upto: int) -> float:
 
     Holds the (upto + 1) x M weighted values on the table's nodes.
     """
-    if not 0 <= upto <= table.N:
-        raise InvalidParameterError(f"upto = {upto} outside the table's degrees 0..{table.N}")
     vals = np.array(
         [cur * np.exp(L) for _, cur, L in _recur(table, table.rule.nodes, upto)]
     )

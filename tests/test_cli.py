@@ -138,6 +138,11 @@ def test_psi_command():
     assert out["det_err_max"] < 1e-8
     assert out["c12_rel_err"] < 0.02
     assert out["c21_rel_err"] < 0.02
+    # 21! passes the int64 range
+    cp = run_cli("psi", "--k", "21")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    assert json.loads(cp.stdout)["k"] == 21
 
 
 def test_sweep_command(eynard_config):
@@ -220,6 +225,12 @@ def test_count_explicit_delta(eynard_config):
     out = json.loads(cp.stdout)
     assert out["delta"] == 0.1
     assert 0.0 < out["count"] < 40
+    # a NaN half-width is refused by its own name
+    cp = run_cli("count", "--potential", eynard_config, "--n", "40", "--s", "1.0", "--delta", "nan")
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    err = json.loads(cp.stderr)
+    assert err == {"error": "delta must be finite, got nan", "kind": "invalid-parameter"}
 
 
 def test_out_writes_csv(tmp_path):

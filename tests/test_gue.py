@@ -86,9 +86,11 @@ def _hermite_restarted(j, x):
 
 
 def test_one_pass_sums_exact():
-    # one recurrence pass gives exactly the per-degree sum, term by term
+    # one recurrence pass gives exactly the per-degree sum, term by term, and
+    # the Christoffel-Darboux form off the diagonal of the grid
     grid = np.arange(-3.0, 3.0001, 0.25)
-    table = np.array([[_hermite_restarted(j, x) for x in grid] for j in range(8)])
+    table = np.array([[_hermite_restarted(j, x) for x in grid] for j in range(9)])
+    off = ~np.eye(len(grid), dtype=bool)
     for k in range(9):
         rows = table[:k]
         for i, u in enumerate(grid):
@@ -99,6 +101,11 @@ def test_one_pass_sums_exact():
             diag = sum(rows[j] ** 2 for j in range(k))
             gauss = np.exp(-grid * grid)
             assert np.array_equal(np.diag(gue_kernel_grid(k, grid)), diag * gauss)
+            outer = np.outer(table[k], table[k - 1])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cd = np.sqrt(k / 2.0) * (outer - outer.T) / np.subtract.outer(grid, grid)
+            cd *= np.exp(-0.5 * np.add.outer(grid * grid, grid * grid))
+            assert np.array_equal(gue_kernel_grid(k, grid)[off], cd[off])
 
 
 def test_hermite_integer_argument():
@@ -184,17 +191,43 @@ def test_cauchy_route_consistency_at_switch():
             assert abs(series - direct) <= 1e-9 * abs(direct)
 
 
+_NEAR_FIELD = [2j, -1.5j, 1 + 1j, -2 + 0.5j, 0.3 + 0.2j, 3 - 1j, 0.05j, 5 + 5j, -4 - 2j, 0.7 + 3j]
+
+
+def test_cauchy_panels_summed_in_order():
+    # all panels in one Hermite pass give the bits of one pass per panel
+    from rmtlab.gue import _GL, _cauchy_quadrature
+
+    xs, ws = _GL
+    for zeta in _NEAR_FIELD + [0.7 + 1e-3j, 0.7 - 1e-4j, 9.9j]:
+        T = 12.0 + abs(zeta) / 2.0
+        x0 = float(np.clip(zeta.real, -T, T))
+        span, cuts = max(abs(zeta.imag), 1e-2), {-T, T, x0}
+        while span < 2 * T:
+            cuts.update(c for c in (x0 - span, x0 + span) if -T < c < T)
+            span *= 2
+        edges = np.array(sorted(cuts))
+        for k in range(6):
+            total = 0.0 + 0.0j
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xs
+                f = hermite(k, u) * np.exp(-u * u) / (u - zeta)
+                total += 0.5 * (hi - lo) * np.sum(ws * f)
+            assert _cauchy_quadrature(k, zeta) == complex(total)
+
+
 def test_cauchy_requires_off_axis():
     with pytest.raises(OffAxisRequiredError):
         hermite_cauchy(1, 2.0)
 
 
 def test_psi_unimodular():
-    samples = [2j, -1.5j, 1 + 1j, -2 + 0.5j, 0.3 + 0.2j, 3 - 1j, 0.05j, 5 + 5j, -4 - 2j, 0.7 + 3j]
-    samples += [20j, 25j, 29j, 3 + 22j]  # beyond the far-field switch
+    samples = _NEAR_FIELD + [20j, 25j, 29j, 3 + 22j]  # the last four beyond the far-field switch
     for k in (1, 2, 3, 4):
         for z in samples:
             assert abs(psi_matrix(z, k).det - 1.0) < 1e-8
+    # k! passes the int64 range from k = 21 on
+    assert abs(psi_matrix(0.05j, 21).det - 1.0) < 1e-12
 
 
 def test_psi_out_of_exponent_range():
@@ -202,6 +235,12 @@ def test_psi_out_of_exponent_range():
     with pytest.raises(PrecisionLimitError):
         psi_matrix(40j, 1)
     assert abs(psi_matrix(37j, 1).det - 1.0) < 1e-8
+    # 171! has no double value, so neither has the normalization
+    with pytest.raises(PrecisionLimitError, match="normalization"):
+        psi_matrix(2j, 171)
+    # inside the exponent range, the monic H_10 times exp(-zeta^2/2) still overflows
+    with pytest.raises(PrecisionLimitError, match="entry"), np.errstate(over="ignore"):
+        psi_matrix(37j, 10)
 
 
 def test_psi_entry_11_odd():

@@ -274,6 +274,10 @@ def test_oracles_along_n_ladder(eynard3_pot, n):
         kernel_matrix(table, [table.rule.lo - 1.0, 0.0])
     with pytest.raises(PrecisionLimitError):
         kernel_matrix(table, [0.0, table.rule.hi + 1.0])
+    # the scalar kernel refuses them too, off the diagonal and on it
+    for x, y in ((table.rule.hi + 1.0, 0.0), (50.0, 0.1), (table.rule.lo - 1.0,) * 2):
+        with pytest.raises(PrecisionLimitError):
+            kernel(table, x, y)
 
 
 def test_gram_residual_at_degree_n(eynard3_pot):
@@ -431,6 +435,23 @@ def test_gram_residual_degree_bound(hermite_table):
     for upto in (-1, 13):
         with pytest.raises(InvalidParameterError):
             gram_residual(hermite_table, upto)
+
+
+def test_short_table_refused(quadratic):
+    # a table through degree 5 cannot give the rank-10 kernel
+    from rmtlab.orthopoly import _kernel_confluent
+
+    short = build_recurrence(quadratic, 10, 1.0, 5)
+    pts = np.array([0.1, 0.3])
+    for evaluate in (
+        lambda: kernel_matrix(short, pts),
+        lambda: kernel_diagonal(short, pts),
+        lambda: kernel(short, 0.1, 0.3),
+        lambda: kernel(short, 0.1, 0.1),
+        lambda: _kernel_confluent(short, 0.1, 0.3),
+    ):
+        with pytest.raises(InvalidParameterError, match="degree"):
+            evaluate()
 
 
 def test_weighted_sweep_nan(hermite_table):

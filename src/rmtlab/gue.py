@@ -3,7 +3,11 @@
 Hermite polynomials here are orthonormal for the weight exp(-x^2), with
 leading coefficient 2^{k/2} / (pi^{1/4} sqrt(k!)), evaluated through the
 orthonormal recurrence (stable far past the degrees used here); one run gives
-a grid kernel, all panels of a Cauchy quadrature, or psi_matrix's H_{k-1}, H_k.
+a grid kernel or psi_matrix's H_{k-1}, H_k at zeta. Each model matrix takes
+both Cauchy transforms, of H_{k-1} and H_k, from one call of one engine: one
+Hermite pass over the quadrature nodes near the axis, one closed-form moment
+series beyond |zeta| = 10. Each route bounds its own error and raises rather
+than return a transform with fewer digits than _CAUCHY_TOL asks.
 """
 
 from __future__ import annotations
@@ -90,62 +94,79 @@ def gue_kernel_grid(k: int, grid: np.ndarray) -> np.ndarray:
 
 
 _FAR_FIELD_RADIUS = 10.0
+_CAUCHY_TOL = 1e-8  # largest estimated relative error a Cauchy transform may carry
 _EXP_MAX = float(np.log(np.finfo(float).max))
 _GL = leggauss(40)
 
 
-def _cauchy_quadrature(k: int, zeta: complex) -> complex:
-    """Composite panels over [-T, T], refined geometrically around Re zeta."""
+def _inv_kappa(k: int) -> float:
+    """1 / kappa_k = pi^{1/4} sqrt(k!) / 2^{k/2}, the monic H_k over the orthonormal one."""
+    try:
+        return np.pi**0.25 * np.sqrt(float(factorial(k))) / 2 ** (k / 2.0)
+    except OverflowError:
+        raise PrecisionLimitError(f"the degree-{k} normalization leaves the double range") from None
+
+
+def _cauchy_quadrature(k: int, zeta: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Near route: (C_{k-1}, C_k) from one Hermite pass over composite panels on [-T, T],
+    refined geometrically around Re zeta; error bounds eps sum |w f| per integrand."""
     T = 12.0 + abs(zeta) / 2.0
     x0 = float(np.clip(zeta.real, -T, T))
-    w0 = max(abs(zeta.imag), 1e-2)
-    cuts = {-T, T}
-    span = w0
+    span, cuts = max(abs(zeta.imag), 1e-2), {-T, T, x0}
     while span < 2 * T:
-        for s in (-span, span):
-            c = x0 + s
-            if -T < c < T:
-                cuts.add(c)
+        cuts.update(c for c in (x0 - span, x0 + span) if -T < c < T)
         span *= 2
-    cuts.add(x0)
     edges = np.array(sorted(cuts))
     half = 0.5 * (edges[1:] - edges[:-1])
     xs, ws = _GL
     u = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * xs
-    f = hermite(k, u) * np.exp(-u * u) / (u - zeta)
-    total = 0.0 + 0.0j
-    for h, panel in zip(half, np.sum(ws * f, axis=1)):
-        total += h * panel
-    return complex(total)
+    *_, (h_prev, h_k) = _hermite_values(u, k + 1)
+    wf = ws * (np.stack((h_prev, h_k)) * np.exp(-u * u) / (u - zeta))
+    total = np.zeros(2, dtype=complex)
+    for h, panels in zip(half, np.sum(wf, axis=2).T):
+        total += h * panels
+    return total, np.finfo(float).eps * (np.sum(np.abs(wf), axis=2) @ half)
 
 
-def _hermite_gaussian_moments(k: int, m_max: int) -> np.ndarray:
-    """mu_m = int u^m H_k(u) e^{-u^2} du for m = 0..m_max, by recursion."""
-    width = k + m_max + 2
-    prev = np.zeros(width + 2)
-    prev[0] = np.pi**0.25
-    out = np.zeros(m_max + 1)
-    out[0] = prev[k]
-    for m in range(1, m_max + 1):
-        cur = np.zeros(width + 2)
-        j = np.arange(width)
-        cur[:width] = np.sqrt((j + 1) / 2.0) * prev[1 : width + 1]
-        cur[1:width] += np.sqrt(j[1:] / 2.0) * prev[: width - 1]
-        prev = cur
-        out[m] = cur[k]
-    return out
+def _cauchy_series(k: int, zeta: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Far route: C_j = -sum_{i<13} mu_{j+2i} zeta^{-j-2i-1} for j = k-1, k, with the
+    moments mu_m = int u^m H_j e^{-u^2} du in closed form: zero for m < j or odd m - j,
+    mu_j = 1/kappa_j and mu_{j+2i+2} / mu_{j+2i} = (j+2i+1)(j+2i+2) / (4(i+1)).
+    Error bounds: the last terms."""
+    j = np.array([[k - 1], [k]])
+    i = np.arange(12)
+    lead = [[-_inv_kappa(d) * zeta ** -(d + 1.0) if d >= 0 else 0.0] for d in (k - 1, k)]
+    ratio = (j + 2 * i + 1) * (j + 2 * i + 2) / (4.0 * (i + 1) * zeta * zeta)
+    terms = np.cumprod(np.hstack((lead, ratio)), axis=1)
+    return terms.sum(axis=1), np.abs(terms[:, -1])
+
+
+def _cauchy_transforms(k: int, zeta) -> np.ndarray:
+    """(C_{k-1}, C_k), C_j = int H_j(u) e^{-u^2} / (u - zeta) du, C_{-1} = 0; raises
+    PrecisionLimitError where an error bound exceeds _CAUCHY_TOL relative."""
+    zeta = complex(zeta)
+    if k < -1:
+        raise InvalidParameterError(f"k must be >= -1, got {k}")
+    if not np.isfinite(zeta):
+        raise InvalidParameterError(f"zeta must be finite, got {zeta}")
+    if zeta.imag == 0.0:
+        raise OffAxisRequiredError(f"the transform needs Im(zeta) != 0, got {zeta}")
+    if k == -1:
+        return np.zeros(2, dtype=complex)
+    route = _cauchy_series if abs(zeta) > _FAR_FIELD_RADIUS else _cauchy_quadrature
+    values, bounds = route(k, zeta)
+    lost = [j for j, v, b in zip((k - 1, k), values, bounds) if b > _CAUCHY_TOL * abs(v)]
+    if lost:
+        raise PrecisionLimitError(
+            f"the degree-{lost[-1]} Cauchy transform at zeta = {zeta} is not accurate "
+            f"to {_CAUCHY_TOL:g}"
+        )
+    return values
 
 
 def hermite_cauchy(k: int, zeta: complex) -> complex:
     """int H_k(u) e^{-u^2} / (u - zeta) du for zeta off the real axis."""
-    zeta = complex(zeta)
-    if zeta.imag == 0.0:
-        raise OffAxisRequiredError("the transform needs Im(zeta) != 0")
-    if abs(zeta) > _FAR_FIELD_RADIUS:
-        mu = _hermite_gaussian_moments(k, k + 24)
-        powers = zeta ** -(np.arange(len(mu)) + 1.0)
-        return complex(-(mu @ powers))
-    return _cauchy_quadrature(k, zeta)
+    return complex(_cauchy_transforms(k, zeta)[1])
 
 
 @dataclass(frozen=True)
@@ -167,21 +188,18 @@ def psi_matrix(zeta: complex, k: int) -> PsiMatrix:
     the weighted H_{k-1} pair; the columns carry exp(-zeta^2/2) and
     exp(+zeta^2/2) respectively. Where |Re zeta^2| / 2 exceeds the double
     exponent range (about 709.78) one of them overflows; there, from k = 171
-    on and wherever an entry overflows, the matrix raises PrecisionLimitError.
+    on, where a Cauchy transform loses its digits and wherever an entry
+    overflows, the matrix raises PrecisionLimitError.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be a positive integer, got {k}")
+    inv_kappa_k = _inv_kappa(k)
+    c_km1, c_k = _cauchy_transforms(k, zeta)
     zeta = complex(zeta)
-    if zeta.imag == 0.0:
-        raise OffAxisRequiredError("the model matrix needs Im(zeta) != 0")
     if abs((zeta * zeta).real) / 2.0 > _EXP_MAX:
         raise PrecisionLimitError(
             f"exp(+-zeta^2/2) leaves the double range at zeta = {zeta}"
         )
-    try:
-        inv_kappa_k = np.pi**0.25 * np.sqrt(float(factorial(k))) / 2 ** (k / 2.0)
-    except OverflowError:
-        raise PrecisionLimitError(f"the degree-{k} normalization leaves the double range") from None
     kappa_km1 = 2 ** ((k - 1) / 2.0) / (np.pi**0.25 * np.sqrt(float(factorial(k - 1))))
     *_, (h_km1, h_k) = _hermite_values(np.array([zeta]), k + 1)
     e_minus = np.exp(-zeta * zeta / 2.0)
@@ -190,11 +208,11 @@ def psi_matrix(zeta: complex, k: int) -> PsiMatrix:
         [
             [
                 inv_kappa_k * h_k[0] * e_minus,
-                inv_kappa_k / (2j * np.pi) * hermite_cauchy(k, zeta) * e_plus,
+                inv_kappa_k / (2j * np.pi) * c_k * e_plus,
             ],
             [
                 -2j * np.pi * kappa_km1 * h_km1[0] * e_minus,
-                -kappa_km1 * hermite_cauchy(k - 1, zeta) * e_plus,
+                -kappa_km1 * c_km1 * e_plus,
             ],
         ],
         dtype=complex,

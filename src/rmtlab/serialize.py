@@ -37,13 +37,5 @@ def json_dumps(obj) -> str:
 
 def csv_text(header: list[str], rows) -> str:
     """CSV with mandatory header, comma separator, newline-terminated lines."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(fmt_float(v))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [",".join(json_dumps(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"

@@ -166,6 +166,43 @@ def test_cauchy_far_field_orthogonality():
     assert abs(z * hermite_cauchy(1, z)) < 0.02
     assert abs(z * hermite_cauchy(2, z)) < 1e-3
     assert abs(z * hermite_cauchy(5, z)) < 1e-6
+    # at 20i the series' last term is 2.6e-2 of the sum for H_60: it raises
+    with pytest.raises(PrecisionLimitError, match="degree-60"):
+        hermite_cauchy(60, 20j)
+
+
+# perfbench's zeta beyond the far-field radius
+_FAR_FIELD = [20j, 25j, 29j, 3 + 22j, 15 + 15j, 31j, 35j, -32j, 5 + 33j, 40j]
+
+
+def _moment_series(k, zeta):
+    # the moments int u^m H_k e^{-u^2} du, m = 0..k+24, by the Hermite recurrence
+    width = k + 26
+    prev = np.zeros(width + 2)
+    prev[0] = np.pi**0.25
+    mu = [prev[k]]
+    for _ in range(k + 24):
+        cur = np.zeros(width + 2)
+        j = np.arange(width)
+        cur[:width] = np.sqrt((j + 1) / 2.0) * prev[1 : width + 1]
+        cur[1:width] += np.sqrt(j[1:] / 2.0) * prev[: width - 1]
+        prev = cur
+        mu.append(cur[k])
+    return complex(-(np.array(mu) @ zeta ** -(np.arange(k + 25) + 1.0)))
+
+
+def test_cauchy_far_route_closed_form_moments():
+    # the closed-form moments give the recurrence's series to rounding
+    from rmtlab.gue import _cauchy_series
+
+    for zeta in _FAR_FIELD:
+        for k in range(30):
+            pair, _ = _cauchy_series(k, zeta)
+            for j, value in zip((k - 1, k), pair):
+                want = _moment_series(j, zeta) if j >= 0 else 0.0
+                assert abs(value - want) <= 1e-14 * abs(want)
+                if j >= 0:
+                    assert hermite_cauchy(j, zeta) == value
 
 
 def test_cauchy_route_consistency():
@@ -175,7 +212,7 @@ def test_cauchy_route_consistency():
     for k in (0, 1, 3):
         z = 31j
         series = hermite_cauchy(k, z)
-        direct = _cauchy_quadrature(k, z)
+        direct = _cauchy_quadrature(k, z)[0][1]
         assert abs(series - direct) < 1e-9
 
 
@@ -187,7 +224,7 @@ def test_cauchy_route_consistency_at_switch():
         z = 10.5 * np.exp(1j * angle)
         for k in range(6):
             series = hermite_cauchy(k, z)
-            direct = _cauchy_quadrature(k, z)
+            direct = _cauchy_quadrature(k, z)[0][1]
             assert abs(series - direct) <= 1e-9 * abs(direct)
 
 
@@ -195,7 +232,8 @@ _NEAR_FIELD = [2j, -1.5j, 1 + 1j, -2 + 0.5j, 0.3 + 0.2j, 3 - 1j, 0.05j, 5 + 5j, 
 
 
 def test_cauchy_panels_summed_in_order():
-    # all panels in one Hermite pass give the bits of one pass per panel
+    # one Hermite pass over all panels gives both transforms with the bits of
+    # one pass per panel and degree
     from rmtlab.gue import _GL, _cauchy_quadrature
 
     xs, ws = _GL
@@ -208,17 +246,34 @@ def test_cauchy_panels_summed_in_order():
             span *= 2
         edges = np.array(sorted(cuts))
         for k in range(6):
-            total = 0.0 + 0.0j
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xs
-                f = hermite(k, u) * np.exp(-u * u) / (u - zeta)
-                total += 0.5 * (hi - lo) * np.sum(ws * f)
-            assert _cauchy_quadrature(k, zeta) == complex(total)
+            pair, _ = _cauchy_quadrature(k, zeta)
+            for j, value in zip((k - 1, k), pair):
+                total = 0.0 + 0.0j
+                for lo, hi in zip(edges[:-1], edges[1:]):
+                    u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xs
+                    f = hermite(j, u) * np.exp(-u * u) / (u - zeta)
+                    total += 0.5 * (hi - lo) * np.sum(ws * f)
+                assert value == complex(total)
+
+
+def test_psi_matrix_one_quadrature(monkeypatch):
+    # both transforms of a near-field model matrix come from one quadrature
+    from rmtlab import gue
+
+    calls = []
+    route = gue._cauchy_quadrature
+    monkeypatch.setattr(gue, "_cauchy_quadrature", lambda k, z: calls.append(k) or route(k, z))
+    psi_matrix(2j, 3)
+    assert calls == [3]
 
 
 def test_cauchy_requires_off_axis():
     with pytest.raises(OffAxisRequiredError):
         hermite_cauchy(1, 2.0)
+    # the degree and the finiteness of zeta are checked on both routes
+    for k, zeta in ((-2, 20j), (-2, 2j), (1, complex(math.nan, 1.0)), (1, complex(1.0, math.inf))):
+        with pytest.raises(InvalidParameterError):
+            hermite_cauchy(k, zeta)
 
 
 def test_psi_unimodular():
@@ -228,6 +283,10 @@ def test_psi_unimodular():
             assert abs(psi_matrix(z, k).det - 1.0) < 1e-8
     # k! passes the int64 range from k = 21 on
     assert abs(psi_matrix(0.05j, 21).det - 1.0) < 1e-12
+    # at 5+5i the quadrature keeps 1e-8 through k = 12 and raises from k = 13
+    assert abs(psi_matrix(5 + 5j, 12).det - 1.0) < 1e-7
+    with pytest.raises(PrecisionLimitError, match="degree-13"):
+        psi_matrix(5 + 5j, 13)
 
 
 def test_psi_out_of_exponent_range():
@@ -281,6 +340,8 @@ def test_psi_rejects_k_zero():
 def test_psi_rejects_real_zeta():
     with pytest.raises(OffAxisRequiredError):
         psi_matrix(1.0, 1)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        psi_matrix(complex(math.nan, 1.0), 1)
 
 
 def test_kernel_grid_rejects_negative_k():

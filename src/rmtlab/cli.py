@@ -12,7 +12,7 @@ from dataclasses import asdict, astuple, fields
 import numpy as np
 
 from . import critical, equilibrium, experiments, gue, potential as potmod
-from .errors import RmtlabError
+from .errors import InvalidParameterError, RmtlabError
 from .experiments import GridSpec, SweepRow
 from .serialize import csv_text, json_dumps
 
@@ -27,7 +27,11 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _load_potential(path: str):
     with open(path, encoding="utf-8") as fh:
-        return potmod.from_config(json.load(fh))
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidParameterError(f"potential file {path} is not JSON: {exc}") from None
+    return potmod.from_config(cfg)
 
 
 def _grid_csv(grid: GridSpec, values: np.ndarray) -> str:
@@ -184,16 +188,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> int:
     try:
         text = args.handler(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except RmtlabError as exc:
         sys.stderr.write(json_dumps({"error": str(exc), "kind": exc.kind}) + "\n")
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(json_dumps({"error": str(exc), "kind": "io"}) + "\n")
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -25,10 +25,24 @@ runs it on a grid, the confluent sum on two points, gram_residual on the
 nodes. The Stieltjes build keeps a loop of its own, since it forms alpha and
 beta as it goes. This module alone chooses the quadrature window and the
 node count; _recur is the one gate of every evaluation.
+
+Both loops fold mantissas into the log scales on one schedule. On the window
+[lo, hi], G_j = (max(|lo - alpha_j|, |hi - alpha_j|) + sqrt(beta_j)) /
+sqrt(beta_{j+1}) bounds max(|p_{j+1}|, |p_j|) / max(|p_j|, |p_{j-1}|) at
+every point (_growth). A fold check is due when the product of G_j since the
+last check would pass _GROWTH = 1e20; it folds every mantissa pair above
+_FOLD = 1e80, so no mantissa passes _RENORM = 1e100. One scan of the points
+per check replaces a scan at every degree. The Stieltjes build also takes
+its active hull at each check: the span from the first to the last node
+whose weight E max(p_j^2, p_{j-1}^2) times _GROWTH^2 reaches _NEGLIGIBLE =
+1e-34. No node outside it can reach that weight before the next check, so
+the two dot products per degree run over the hull alone and drop less than
+M 1e-34 of the unit norm of p_{j+1}; the recurrence runs on every node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -53,7 +67,10 @@ _ORDER = 63  # Gauss-Legendre nodes per panel
 _MIN_NODES = 2000
 _NODES_PER_BAND = 5  # nodes per degree, per band width of window
 _STRING_TOL = 1e-12
-_RENORM = 1e100
+_RENORM = 1e100  # no mantissa of a sweep passes this
+_GROWTH = 1e20  # growth bound between fold checks
+_FOLD = _RENORM / _GROWTH  # a fold check folds mantissas above this
+_NEGLIGIBLE = 1e-34  # a node weight the Stieltjes sums may drop
 _EDGE_TOL = 1e-30
 _WIDENINGS = 4  # builds per table, shared by window widening and node doubling
 _DIAG_SWITCH = 1e-8
@@ -312,55 +329,112 @@ def _band_polyval(coeffs: np.ndarray, alpha: np.ndarray, sb: np.ndarray) -> np.n
     return P[1:-1]
 
 
+def _growth(lo: float, hi: float, alpha, sb, sb_next):
+    """G_j = (max(|lo - alpha_j|, |hi - alpha_j|) + sqrt(beta_j)) / sqrt(beta_{j+1}).
+
+    By the recurrence |p_{j+1}| <= G_j max(|p_j|, |p_{j-1}|) at every point
+    of [lo, hi], and G_j >= 1, since the norm of (x - alpha_j) p_j -
+    sqrt(beta_j) p_{j-1}, which is sqrt(beta_{j+1}), is at most the
+    numerator. So G_j bounds max(|p_{j+1}|, |p_j|) / max(|p_j|, |p_{j-1}|)
+    on the whole window, whatever log scale each point carries. Takes
+    floats or arrays of degrees alike.
+    """
+    reach = 0.5 * (hi - lo) + abs(alpha - 0.5 * (lo + hi))
+    return (reach + sb) / sb_next
+
+
 def _stieltjes(rule: QuadratureRule, log_half: np.ndarray, N: int):
     """alpha_0..N, beta_0..N, log_gamma0, and the larger share of the norms
     of p_N and p_{N-1} held by the two outermost nodes.
 
     Each node carries p_{j-1} and p_j times exp(log_half) as mantissas
-    times exp(S_i), starting from S_i = log_half_i + log_gamma0.
-    alpha_j and beta_{j+1} are dot products with g_i exp(2 S_i), g_i the
-    quadrature weights. A term that underflows there is negligible, and it
-    regrows as the degree rises, because a mantissa above 1e100 is folded
-    into its S_i.
+    times exp(S_i), starting from S_i = log_half_i + log_gamma0, and
+    E_i = g_i exp(2 S_i), g_i the quadrature weights. Each degree forms
+    q = (x - alpha_j) p_j - sqrt(beta_j) p_{j-1} on every node and takes
+    beta_{j+1} = sum E q^2 and alpha_{j+1} = sum E x q^2 / beta_{j+1}.
+
+    Fold checks follow the product of _growth since the last check: one is
+    due once the product passes _GROWTH. A check scans every node once. It
+    folds each pair of mantissas whose larger entry m exceeds _FOLD into
+    S_i, so no mantissa passes _RENORM between checks, and it takes the
+    hull [first, last] of the nodes where E m^2 _GROWTH^2 reaches
+    _NEGLIGIBLE. The two sums run over that hull: outside it no weight
+    E p_{j+1}^2 can reach _NEGLIGIBLE before the next check. The hull is
+    one span from a full scan, since the nodes that carry weight can leave
+    a gap between the band and x*. G_j needs beta_{j+1}, so the step whose
+    G_j takes the product past _GROWTH checks and sums again.
+
+    q, its square and E x live in three buffers allocated once: fresh
+    M-length temporaries at every degree page-fault from about 30k nodes
+    on (227526 minor faults in one sweep at M = 42273, 260 at M = 22239).
     """
     x = rule.nodes
-    log_g = np.log(rule.weights)
-    log_w = log_g + 2.0 * log_half
-    peak = float(log_w.max())
-    log_mass = peak + float(np.log(np.sum(np.exp(log_w - peak))))
+    # the log of g_i exp(2 log_half_i) first, turned into E in place below
+    E = np.log(rule.weights) + 2.0 * log_half
+    peak = float(E.max())
+    log_mass = peak + float(np.log(np.sum(np.exp(E - peak))))
     if not np.isfinite(log_mass):
         raise NumericalBreakdownError("discretized weight has no usable mass")
     log_gamma0 = -0.5 * log_mass
     S = log_half + log_gamma0
-    E = np.exp(2.0 * S + log_g)
+    E -= log_mass
+    np.exp(E, out=E)
+    Ex = E * x
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
-    alpha = np.zeros(N + 1)
-    beta = np.zeros(N + 1)
-    for j in range(N + 1):
-        xc = x * cur
-        alpha[j] = (E * cur) @ xc
-        if j == N:
-            break
-        xc -= alpha[j] * cur
-        if j > 0:
-            xc -= np.sqrt(beta[j]) * prev
-        b = float((E * xc) @ xc)
-        if not np.isfinite(b) or b <= 1e-28:
+    q = np.zeros_like(x)
+    sq = np.empty_like(x)
+
+    def check():
+        m = np.abs(prev)
+        np.maximum(m, np.abs(cur, out=sq), out=m)
+        big = np.flatnonzero(m > _FOLD)
+        if big.size:
+            mag = m[big]
+            for arr in (prev, cur, q):
+                arr[big] /= mag
+            S[big] += np.log(mag)
+            E[big] = np.exp(2.0 * S[big] + np.log(rule.weights[big]))
+            Ex[big] = E[big] * x[big]
+            m[big] = 1.0
+        m *= m
+        m *= E
+        live = m >= _NEGLIGIBLE / _GROWTH**2
+        return int(live.argmax()), x.size - int(live[::-1].argmax())
+
+    def weigh(j):
+        hull_sq = np.square(q[first:last], out=sq[first:last])
+        b = float(E[first:last] @ hull_sq)
+        if not 1e-28 < b < np.inf:
             raise NumericalBreakdownError(
                 f"off-diagonal collapsed at degree {j + 1}; "
                 "increase quadrature nodes or reduce n"
             )
-        beta[j + 1] = b
-        xc /= np.sqrt(b)
-        prev, cur = cur, xc
-        big = np.flatnonzero(np.abs(cur) > _RENORM)
-        if big.size:
-            mag = np.abs(cur[big])
-            cur[big] /= mag
-            prev[big] /= mag
-            S[big] += np.log(mag)
-            E[big] = np.exp(2.0 * S[big] + log_g[big])
+        return hull_sq, b, _growth(rule.lo, rule.hi, a, sb, math.sqrt(b))
+
+    alpha = np.zeros(N + 1)
+    beta = np.zeros(N + 1)
+    a, sb = float(E @ x), 0.0
+    alpha[0] = a
+    first, last = check()
+    growth = 1.0
+    for j in range(N):
+        np.subtract(x, a, out=q)
+        q *= cur
+        np.multiply(prev, sb, out=sq)
+        q -= sq
+        hull_sq, b, g = weigh(j)
+        if growth * g > _GROWTH:
+            # the hull was taken for less growth: scan again, sum again
+            first, last = check()
+            hull_sq, b, g = weigh(j)
+            growth = 1.0
+        growth *= g
+        a = float(Ex[first:last] @ hull_sq) / b
+        alpha[j + 1], beta[j + 1] = a, b
+        sb = math.sqrt(b)
+        q *= 1.0 / sb
+        prev, cur, q = cur, q, prev
     ends = [0, -1]
     edge = float(np.max(E[ends] * np.maximum(cur[ends] ** 2, prev[ends] ** 2)))
     return alpha, beta, log_gamma0, edge
@@ -371,9 +445,12 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
     psi_{j-1} = prev exp(L) and psi_j = cur exp(L).
 
     The one evaluation sweep of the weighted three-term recurrence, seeded
-    with the weighted p_0. Each point carries a log scale of its own, and
-    a mantissa that passes 1e80 is folded into it; p_j at a fixed point
-    does not decay with j, so no fold downward is needed. In the window's
+    with the weighted p_0. Each point carries a log scale of its own. Fold
+    checks follow the Stieltjes build's rule: one is due before the product
+    of _growth since the last check can pass _GROWTH, and it folds each
+    pair of mantissas whose larger entry exceeds _FOLD into the scale, so
+    no mantissa passes _RENORM. p_j at a fixed point does not decay with
+    j, so no fold downward is needed. In the window's
     far tails a low-degree value can underflow to zero; it is then below
     double resolution next to the values of higher degree, which regrow
     from the mantissa. No yielded array is written to later, so callers
@@ -395,6 +472,9 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
     L = table.log_gamma0 + _log_weight_half(
         pts, table.vt_coeffs(), table.n, table.rule.vt_min
     )
+    growth = _growth(lo, hi, table.alpha[:upto], sb[:upto], sb[1 : upto + 1]).tolist()
+    growth.append(0.0)  # no step after the last degree
+    bound = 1.0
     prev = np.zeros_like(pts)
     cur = np.ones_like(pts)
     for j in range(upto + 1):
@@ -403,12 +483,16 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
             return
         nxt = ((pts - table.alpha[j]) * cur - (sb[j] * prev if j > 0 else 0.0)) / sb[j + 1]
         prev, cur = cur, nxt
-        mask = np.abs(cur) > 1e80
-        if mask.any():
-            f = np.where(mask, np.abs(cur), 1.0)
-            L = L + np.log(f)
-            prev = prev / f
-            cur = cur / f
+        bound *= growth[j]
+        if bound * growth[j + 1] > _GROWTH:
+            m = np.maximum(np.abs(prev), np.abs(cur))
+            mask = m > _FOLD
+            if mask.any():
+                f = np.where(mask, m, 1.0)
+                L = L + np.log(f)
+                prev = prev / f
+                cur = cur / f
+            bound = 1.0
 
 
 def kernel(table: RecurrenceTable, x: float, y: float) -> float:

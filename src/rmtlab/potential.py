@@ -28,6 +28,8 @@ class Potential:
 
     def __post_init__(self):
         c = tuple(float(v) for v in self.coeffs)
+        if not np.all(np.isfinite(c)):
+            raise InvalidParameterError(f"coefficients must be finite, got {c}")
         # trim trailing zeros before validating the degree
         while len(c) > 1 and c[-1] == 0.0:
             c = c[:-1]
@@ -94,8 +96,8 @@ def make_eynard(e: float) -> tuple[Potential, float]:
     vanishes. The defining integral is linear in ee, so ee = I2/I1 with
     I1 = int (x-e) sqrt(x^2-4), I2 = int x(x-e) sqrt(x^2-4) over [2, e].
     """
-    if e <= 2.0:
-        raise InvalidParameterError(f"e must exceed 2, got {e}")
+    if not 2.0 < e < np.inf:
+        raise InvalidParameterError(f"e must be finite and exceed 2, got {e}")
     a0 = _edge_moment(e, 0)
     a1 = _edge_moment(e, 1)
     a2 = _edge_moment(e, 2)
@@ -123,15 +125,27 @@ def from_config(cfg: dict) -> Potential:
     """Build a Potential from its JSON config form.
 
     {"type": "poly", "coeffs": [c0, ..., cd]} or {"type": "eynard", "e": 3.0}.
+    Raises InvalidParameterError for any other config: one that is not a
+    dict, names another type, or holds a coefficient or e that is not a
+    finite number.
     """
+    if not isinstance(cfg, dict):
+        raise InvalidParameterError(f"potential config must be an object, got {type(cfg).__name__}")
     kind = cfg.get("type")
     if kind == "poly":
         coeffs = cfg.get("coeffs")
         if not isinstance(coeffs, (list, tuple)) or not coeffs:
             raise InvalidParameterError("poly config needs a nonempty coeffs list")
-        return Potential(tuple(float(c) for c in coeffs))
+        return Potential(tuple(_number(c, "coeffs") for c in coeffs))
     if kind == "eynard":
         if "e" not in cfg:
             raise InvalidParameterError("eynard config needs field e")
-        return make_eynard(float(cfg["e"]))[0]
+        return make_eynard(_number(cfg["e"], "e"))[0]
     raise InvalidParameterError(f"unknown potential type {kind!r}")
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name}: {value!r} is not a number") from None

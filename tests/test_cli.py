@@ -287,3 +287,42 @@ def test_negative_k_is_invalid(args, eynard_config):
     assert cp.stdout == ""
     err = json.loads(cp.stderr)
     assert err == {"error": "k must be nonnegative, got -1", "kind": "invalid-parameter"}
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{bad", "is not JSON"),
+        ("[1, 2]", "potential config must be an object, got list"),
+        ('{"type": "poly", "coeffs": ["a", 1]}', "coeffs: 'a' is not a number"),
+        ('{"type": "eynard", "e": null}', "e: None is not a number"),
+        ('{"type": "eynard", "e": NaN}', "e must be finite"),
+        ('{"type": "poly", "coeffs": [0, 0, Infinity]}', "coefficients must be finite"),
+    ],
+    ids=["not-json", "not-object", "coeffs", "e-null", "e-nan", "coeffs-inf"],
+)
+def test_bad_config_is_invalid(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    cp = run_cli("eqm", "--potential", str(path))
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    err = json.loads(cp.stderr)
+    assert err["kind"] == "invalid-parameter"
+    assert message in err["error"]
+
+
+def test_potential_directory_is_io(tmp_path):
+    cp = run_cli("eqm", "--potential", str(tmp_path))
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert json.loads(cp.stderr)["kind"] == "io"
+
+
+def test_out_into_missing_directory_is_io(tmp_path):
+    target = tmp_path / "missing" / "gue.csv"
+    cp = run_cli("gue", "--k", "1", "--grid", "0,1,0.5", "--out", str(target))
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert json.loads(cp.stderr)["kind"] == "io"
+    assert not target.parent.exists()

@@ -18,13 +18,15 @@ from rmtlab import (
     quadrature_support,
     string_residual,
 )
-from rmtlab import orthopoly
-from rmtlab.critical import unit_equilibrium
+from rmtlab import make_eynard, orthopoly
+from rmtlab.critical import detect_singular, unit_equilibrium
 from rmtlab.equilibrium import log_potential
 from rmtlab.experiments import recurrence_for
 from rmtlab.orthopoly import (
     _GL,
+    _growth,
     _log_potential_samples,
+    _log_weight_half,
     _recur,
     gram_residual,
     kernel_diagonal,
@@ -477,3 +479,90 @@ def test_eval_weighted_nan(hermite_table, k):
     with pytest.raises(InvalidParameterError):
         _psi(hermite_table, k, [np.nan])
 
+
+def _stieltjes_every_node(rule, log_half, N):
+    """The Stieltjes sweep that sums over every node at every degree and
+    scans every node for mantissas above 1e100 at every degree: the
+    reference for the sweep that sums over the active hull only."""
+    x = rule.nodes
+    log_g = np.log(rule.weights)
+    log_w = log_g + 2.0 * log_half
+    peak = float(log_w.max())
+    log_mass = peak + float(np.log(np.sum(np.exp(log_w - peak))))
+    log_gamma0 = -0.5 * log_mass
+    S = log_half + log_gamma0
+    E = np.exp(2.0 * S + log_g)
+    prev = np.zeros_like(x)
+    cur = np.ones_like(x)
+    alpha = np.zeros(N + 1)
+    beta = np.zeros(N + 1)
+    for j in range(N + 1):
+        xc = x * cur
+        alpha[j] = (E * cur) @ xc
+        if j == N:
+            break
+        xc -= alpha[j] * cur
+        if j > 0:
+            xc -= np.sqrt(beta[j]) * prev
+        b = float((E * xc) @ xc)
+        beta[j + 1] = b
+        xc /= np.sqrt(b)
+        prev, cur = cur, xc
+        big = np.flatnonzero(np.abs(cur) > 1e100)
+        if big.size:
+            mag = np.abs(cur[big])
+            cur[big] /= mag
+            prev[big] /= mag
+            S[big] += np.log(mag)
+            E[big] = np.exp(2.0 * S[big] + log_g[big])
+    return alpha, beta, log_gamma0
+
+
+def _scaled_table(e, n, s):
+    """Table of make_eynard(e) at (n, s), shared through the experiments cache."""
+    pot = make_eynard(e)[0]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="reduced-mass band")
+        t = make_scaling(pot, n, s).t
+    return recurrence_for(pot, n, t)
+
+
+@pytest.mark.parametrize(
+    "e, n, s",
+    [(3.0, 160, 1.0), (3.0, 2560, 1.0), (4.0, 2560, 1.5), (6.0, 1280, 1.0), (None, 500, 0.1)],
+    ids=["e3-n160", "e3-n2560", "e4-n2560-gap", "e6-n1280-gap", "x2-t0.1"],
+)
+def test_hull_sweep_matches_every_node_sweep(quadratic, e, n, s):
+    # for V = x^2, s is t, and the first window cuts the band of V_t
+    table = build_recurrence(quadratic, n, s, n) if e is None else _scaled_table(e, n, s)
+    rule = table.rule
+    log_half = _log_weight_half(rule.nodes, table.vt_coeffs(), n, rule.vt_min)
+    alpha, beta, log_gamma0 = _stieltjes_every_node(rule, log_half, n)
+    assert np.max(np.abs(table.alpha - alpha)) < 1e-12
+    assert np.max(np.abs(table.beta[1:] - beta[1:]) / beta[1:]) < 1e-12
+    assert table.log_gamma0 == log_gamma0
+    if e in (4.0, 6.0):
+        # the nodes that carry weight at degree n leave a gap between the
+        # band and x*, so only a full scan finds the hull's right end
+        psi_prev, psi_n, _ = weighted_sweep(table, rule.nodes)
+        live = np.flatnonzero(rule.weights * np.maximum(psi_prev**2, psi_n**2) >= 1e-34)
+        assert np.max(np.diff(rule.nodes[live])) > 1.0
+        assert rule.nodes[live[0]] < 0.0 < detect_singular(table.potential) < rule.nodes[live[-1]]
+
+
+@pytest.mark.parametrize("e, n, s", [(3.0, 640, 1.0), (6.0, 1280, 1.0)], ids=["e3", "e6"])
+def test_growth_bound_holds_along_build(e, n, s):
+    # G_j bounds max(|p_{j+1}|, |p_j|) / max(|p_j|, |p_{j-1}|) at every node
+    # and at both window ends; at degree 0 the far end attains it
+    table = _scaled_table(e, n, s)
+    lo, hi = table.rule.lo, table.rule.hi
+    sb = np.sqrt(table.beta)
+    bound = np.log(_growth(lo, hi, table.alpha[:n], sb[:n], sb[1:]))
+    pts = np.concatenate([[lo], table.rule.nodes, [hi]])
+    log_m = np.array(
+        [np.log(np.maximum(np.abs(prev), np.abs(cur))) + L for prev, cur, L in _recur(table, pts, n)]
+    )
+    observed = np.diff(log_m, axis=0).max(axis=1)
+    assert np.all(bound >= 0.0)
+    assert np.all(observed <= bound + 1e-12)
+    assert observed[0] == pytest.approx(bound[0], abs=1e-12)

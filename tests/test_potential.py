@@ -66,6 +66,9 @@ def test_degree_validation():
         Potential((0.0, 0.0, -1.0))  # negative leading coefficient
     with pytest.raises(InvalidParameterError):
         Potential((0.0,) * 22 + (1.0,))  # degree above the supported cap
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            Potential((bad, 0.0, 1.0))
 
 
 def test_trailing_zeros_trimmed():
@@ -90,8 +93,9 @@ def test_eynard_defining_residual():
 
 
 def test_eynard_rejects_small_e():
-    with pytest.raises(InvalidParameterError):
-        make_eynard(2.0)
+    for e in (2.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            make_eynard(e)
 
 
 @pytest.mark.parametrize("e", [2.1, 2.5, 3.0, 4.0, 5.0])
@@ -111,8 +115,16 @@ def test_config_eynard():
 
 
 def test_config_rejects_unknown():
-    with pytest.raises(InvalidParameterError):
-        from_config({"type": "spline"})
+    for cfg in (
+        {"type": "spline"},
+        [1, 2],
+        {"type": "poly", "coeffs": ["a", 1]},
+        {"type": "poly", "coeffs": [0, 0, [1]]},
+        {"type": "eynard", "e": None},
+        {"type": "eynard", "e": "three"},
+    ):
+        with pytest.raises(InvalidParameterError):
+            from_config(cfg)
 
 
 def test_deriv_coeffs_shared_read_only():

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import asdict, astuple, fields
 
@@ -185,8 +188,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise the OSError open(path, "w") would raise when path's directory
+    is missing, is not a directory or cannot be written to; create nothing."""
+    parent = os.path.dirname(path) or "."
+    try:
+        mode = os.stat(parent).st_mode
+    except OSError as exc:
+        code = exc.errno
+    else:
+        if not stat.S_ISDIR(mode):
+            code = errno.ENOTDIR
+        elif not os.access(parent, os.W_OK | os.X_OK):
+            code = errno.EACCES
+        else:
+            return
+    raise OSError(code, os.strerror(code), path)
+
+
 def run(args: argparse.Namespace) -> int:
     try:
+        if args.out:
+            # refuse an unwritable --out before the computation, not after it
+            _check_out_dir(args.out)
         text = args.handler(args)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -84,12 +84,20 @@ def rescaled_kernel(
     return orthopoly.kernel_matrix(table, pts) / scale
 
 
+@lru_cache(maxsize=32)
+def _gue_grid(k: int, grid: GridSpec) -> np.ndarray:
+    """The size-k GUE kernel on the grid, computed once per k and grid; read-only."""
+    values = gue.gue_kernel_grid(k, grid.points())
+    values.flags.writeable = False
+    return values
+
+
 def compare_to_gue(values: np.ndarray, grid: GridSpec, k: int) -> ComparisonReport:
     """Sup and scaled-l2 distance of a kernel grid from the size-k GUE kernel."""
     pts = grid.points()
     if values.shape != (len(pts), len(pts)):
         raise InvalidParameterError("values matrix does not match the grid")
-    diff = values - gue.gue_kernel_grid(k, pts)
+    diff = values - _gue_grid(k, grid)
     return ComparisonReport(
         k=k,
         sup_error=float(np.abs(diff).max()),
@@ -99,9 +107,8 @@ def compare_to_gue(values: np.ndarray, grid: GridSpec, k: int) -> ComparisonRepo
 
 def best_single_index(values: np.ndarray, grid: GridSpec) -> tuple[int, float]:
     """GUE size in 0..4 with the smallest sup distance to the given grid."""
-    pts = grid.points()
     sups = [
-        float(np.abs(values - gue.gue_kernel_grid(j, pts)).max())
+        float(np.abs(values - _gue_grid(j, grid)).max())
         for j in range(_SINGLE_FIT_RANGE)
     ]
     j = int(np.argmin(sups))
@@ -116,9 +123,8 @@ def lambda_fit(values: np.ndarray, grid: GridSpec, k: int) -> LambdaFit:
     """
     if k < 0:
         raise InvalidParameterError(f"k must be nonnegative, got {k}")
-    pts = grid.points()
-    base = gue.gue_kernel_grid(k, pts)
-    direction = gue.gue_kernel_grid(k + 1, pts) - base
+    base = _gue_grid(k, grid)
+    direction = _gue_grid(k + 1, grid) - base
     denom = float(np.sum(direction * direction))
     lam = float(np.sum((values - base) * direction) / denom) if denom > 0 else 0.0
     clamped = not 0.0 <= lam <= 1.0

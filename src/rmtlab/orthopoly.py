@@ -20,13 +20,17 @@ Every weighted polynomial value psi_k = p_k exp(-n V_t / 2) this module
 evaluates comes from one vectorized sweep, _recur: the three-term recurrence
 seeded with the weighted p_0, carrying a log scale per point so intermediate
 values neither overflow nor are lost to underflow while they still matter.
-weighted_sweep (behind kernel_matrix, kernel_diagonal and scalar kernel)
-runs it on a grid, the confluent sum on two points, gram_residual on the
-nodes. The Stieltjes build keeps a loop of its own, since it forms alpha and
-beta as it goes. This module alone chooses the quadrature window and the
-node count; _recur is the one gate of every evaluation.
+It yields blocks of consecutive degrees that share one log scale per point,
+each in a fresh buffer of at most _BLOCK values, and spends three numpy
+calls per degree. weighted_sweep (behind kernel_matrix, kernel_diagonal and
+scalar kernel) runs it on a grid, the confluent sum on two points,
+gram_residual on the nodes; each reads a block at a time. The Stieltjes
+build keeps a loop of its own, since it forms alpha and beta as it goes.
+This module alone chooses the quadrature window and the node count; _recur
+is the one gate of every evaluation.
 
-Both loops fold mantissas into the log scales on one schedule. On the window
+Both sweeps fold mantissas into the log scales on one schedule; the
+evaluation sweep ends a block at every fold check. On the window
 [lo, hi], G_j = (max(|lo - alpha_j|, |hi - alpha_j|) + sqrt(beta_j)) /
 sqrt(beta_{j+1}) bounds max(|p_{j+1}|, |p_j|) / max(|p_j|, |p_{j-1}|) at
 every point (_growth). A fold check is due when the product of G_j since the
@@ -70,6 +74,7 @@ _STRING_TOL = 1e-12
 _RENORM = 1e100  # no mantissa of a sweep passes this
 _GROWTH = 1e20  # growth bound between fold checks
 _FOLD = _RENORM / _GROWTH  # a fold check folds mantissas above this
+_BLOCK = 2**18  # values per block of the evaluation sweep
 _NEGLIGIBLE = 1e-34  # a node weight the Stieltjes sums may drop
 _EDGE_TOL = 1e-30
 _WIDENINGS = 4  # builds per table, shared by window widening and node doubling
@@ -362,7 +367,7 @@ def _stieltjes(rule: QuadratureRule, log_half: np.ndarray, N: int):
     E p_{j+1}^2 can reach _NEGLIGIBLE before the next check. The hull is
     one span from a full scan, since the nodes that carry weight can leave
     a gap between the band and x*. G_j needs beta_{j+1}, so the step whose
-    G_j takes the product past _GROWTH checks and sums again.
+    G_j takes the product past _GROWTH checks, sums and bounds again.
 
     q, its square and E x live in three buffers allocated once: fresh
     M-length temporaries at every degree page-fault from about 30k nodes
@@ -402,20 +407,9 @@ def _stieltjes(rule: QuadratureRule, log_half: np.ndarray, N: int):
         live = m >= _NEGLIGIBLE / _GROWTH**2
         return int(live.argmax()), x.size - int(live[::-1].argmax())
 
-    def weigh(j):
-        hull_sq = np.square(q[first:last], out=sq[first:last])
-        b = float(E[first:last] @ hull_sq)
-        if not 1e-28 < b < np.inf:
-            raise NumericalBreakdownError(
-                f"off-diagonal collapsed at degree {j + 1}; "
-                "increase quadrature nodes or reduce n"
-            )
-        return hull_sq, b, _growth(rule.lo, rule.hi, a, sb, math.sqrt(b))
-
-    alpha = np.zeros(N + 1)
-    beta = np.zeros(N + 1)
+    lo, hi = rule.lo, rule.hi
     a, sb = float(E @ x), 0.0
-    alpha[0] = a
+    alpha, beta = [a], [0.0]
     first, last = check()
     growth = 1.0
     for j in range(N):
@@ -423,40 +417,61 @@ def _stieltjes(rule: QuadratureRule, log_half: np.ndarray, N: int):
         q *= cur
         np.multiply(prev, sb, out=sq)
         q -= sq
-        hull_sq, b, g = weigh(j)
-        if growth * g > _GROWTH:
-            # the hull was taken for less growth: scan again, sum again
-            first, last = check()
-            hull_sq, b, g = weigh(j)
-            growth = 1.0
+        for rescan in (False, True):
+            if rescan:
+                # the hull was taken for less growth: scan again, sum again
+                first, last = check()
+                growth = 1.0
+            hull_sq = np.square(q[first:last], out=sq[first:last])
+            b = float(E[first:last] @ hull_sq)
+            if not 1e-28 < b < np.inf:
+                raise NumericalBreakdownError(
+                    f"off-diagonal collapsed at degree {j + 1}; "
+                    "increase quadrature nodes or reduce n"
+                )
+            g = _growth(lo, hi, a, sb, math.sqrt(b))
+            if growth * g <= _GROWTH:
+                break
         growth *= g
         a = float(Ex[first:last] @ hull_sq) / b
-        alpha[j + 1], beta[j + 1] = a, b
+        alpha.append(a)
+        beta.append(b)
         sb = math.sqrt(b)
         q *= 1.0 / sb
         prev, cur, q = cur, q, prev
     ends = [0, -1]
     edge = float(np.max(E[ends] * np.maximum(cur[ends] ** 2, prev[ends] ** 2)))
-    return alpha, beta, log_gamma0, edge
+    return np.array(alpha), np.array(beta), log_gamma0, edge
 
 
 def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
-    """Yield (prev, cur, L) for j = 0..upto at real points, where
-    psi_{j-1} = prev exp(L) and psi_j = cur exp(L).
+    """Yield (j, rows, L) for blocks of consecutive degrees at real points
+    (a 1-d array), where rows[i] exp(L) = psi_{j - len(rows) + 1 + i}.
 
-    The one evaluation sweep of the weighted three-term recurrence, seeded
-    with the weighted p_0. Each point carries a log scale of its own. Fold
-    checks follow the Stieltjes build's rule: one is due before the product
-    of _growth since the last check can pass _GROWTH, and it folds each
-    pair of mantissas whose larger entry exceeds _FOLD into the scale, so
-    no mantissa passes _RENORM. p_j at a fixed point does not decay with
-    j, so no fold downward is needed. In the window's
-    far tails a low-degree value can underflow to zero; it is then below
-    double resolution next to the values of higher degree, which regrow
-    from the mantissa. No yielded array is written to later, so callers
-    may keep them. The one gate of every evaluation, on the first step:
-    raises InvalidParameterError for NaN points or upto outside 0..table.N,
-    and PrecisionLimitError for points outside the quadrature window.
+    rows[0] is the degree just before the block (psi_{-1} = 0 for the first
+    block) and rows[1:] the block's own degrees, which end at j; the blocks'
+    own degrees run through 0..upto in order, and the last block ends at
+    upto. The one evaluation sweep of the weighted three-term recurrence,
+    seeded with the weighted p_0. Each point carries a log scale of its
+    own. Fold checks follow the Stieltjes build's rule: one is due before
+    the product of _growth since the last check can pass _GROWTH, and it
+    folds each pair of mantissas whose larger entry exceeds _FOLD into the
+    scale, so no mantissa passes _RENORM. p_j at a fixed point does not
+    decay with j, so no fold downward is needed. In the window's far tails
+    a low-degree value can underflow to zero; it is then below double
+    resolution next to the values of higher degree, which regrow from the
+    mantissa.
+
+    A block ends at every fold check, after which the next block starts
+    from the folded pair, and holds at most _BLOCK values (three rows when
+    the points alone need more). It forms D_j = (pts - alpha_j) /
+    sqrt(beta_{j+1}) for all its degrees in one step, then row_{j+1} =
+    D_j row_j - c_j row_{j-1}, c_j = sqrt(beta_j) / sqrt(beta_{j+1}), in
+    place: three numpy calls per degree. Every block has a fresh buffer,
+    so no yielded array is written to later and callers may keep them. The one
+    gate of every evaluation, on the first step: raises
+    InvalidParameterError for NaN points or upto outside 0..table.N, and
+    PrecisionLimitError for points outside the quadrature window.
     """
     if np.isnan(pts).any():
         raise InvalidParameterError("points must not be NaN")
@@ -468,31 +483,46 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
             f"points [{pts.min():.4f}, {pts.max():.4f}] leave the quadrature window "
             f"[{lo:.4f}, {hi:.4f}]; the weight there is below double-precision resolution"
         )
-    sb = np.sqrt(table.beta)
+    alpha, sb = table.alpha, np.sqrt(table.beta)
     L = table.log_gamma0 + _log_weight_half(
         pts, table.vt_coeffs(), table.n, table.rule.vt_min
     )
-    growth = _growth(lo, hi, table.alpha[:upto], sb[:upto], sb[1 : upto + 1]).tolist()
+    growth = _growth(lo, hi, alpha[:upto], sb[:upto], sb[1 : upto + 1]).tolist()
     growth.append(0.0)  # no step after the last degree
-    bound = 1.0
-    prev = np.zeros_like(pts)
-    cur = np.ones_like(pts)
-    for j in range(upto + 1):
-        yield prev, cur, L
-        if j == upto:
-            return
-        nxt = ((pts - table.alpha[j]) * cur - (sb[j] * prev if j > 0 else 0.0)) / sb[j + 1]
-        prev, cur = cur, nxt
-        bound *= growth[j]
-        if bound * growth[j + 1] > _GROWTH:
-            m = np.maximum(np.abs(prev), np.abs(cur))
+    width = max(1, _BLOCK // max(pts.size, 1) - 2)
+    blocks, bound, start = [], 1.0, 1  # (last degree, fold check after it)
+    for j in range(1, upto + 1):
+        bound *= growth[j - 1]
+        fold = bound * growth[j] > _GROWTH
+        if fold:
+            bound = 1.0
+        if fold or j == upto or j - start + 1 == width:
+            blocks.append((j, fold))
+            start = j + 1
+    seed = np.zeros((2, pts.size))  # p_{top-2} and p_{top-1}
+    seed[1] = 1.0
+    tmp = np.empty_like(pts)
+    top = 1
+    for end, fold in blocks or [(0, False)]:
+        rows = np.empty((end - top + 3, pts.size))
+        rows[:2] = seed
+        D = (pts - alpha[top - 1 : end, None]) / sb[top : end + 1, None]
+        # c_j as a row of stride 0: a ufunc takes it faster than a float
+        C = np.broadcast_to((sb[top - 1 : end] / sb[top : end + 1])[:, None], D.shape)
+        for d, c, before, cur, out in zip(D, C, rows, rows[1:], rows[2:]):
+            np.multiply(d, cur, out=out)
+            np.multiply(before, c, out=tmp)
+            np.subtract(out, tmp, out=out)
+        yield end, (rows if top == 1 else rows[1:]), L
+        seed = rows[-2:]
+        if fold:
+            m = np.maximum(np.abs(seed[0]), np.abs(seed[1]))
             mask = m > _FOLD
             if mask.any():
                 f = np.where(mask, m, 1.0)
                 L = L + np.log(f)
-                prev = prev / f
-                cur = cur / f
-            bound = 1.0
+                seed = seed / f
+        top = end + 1
 
 
 def kernel(table: RecurrenceTable, x: float, y: float) -> float:
@@ -509,8 +539,8 @@ def _kernel_confluent(table: RecurrenceTable, x: float, y: float) -> float:
     by more than the double range.
     """
     acc = 0.0
-    for _, cur, L in _recur(table, np.array([x, y], dtype=float), table.n - 1):
-        acc += cur[0] * cur[1] * np.exp(L[0] + L[1])
+    for _, rows, L in _recur(table, np.array([x, y], dtype=float), table.n - 1):
+        acc += float(rows[1:, 0] @ rows[1:, 1]) * np.exp(L[0] + L[1])
     return float(acc)
 
 
@@ -524,12 +554,14 @@ def weighted_sweep(table: RecurrenceTable, pts: np.ndarray):
     """
     pts = np.asarray(pts, dtype=float)
     diag = np.zeros_like(pts)
-    for j, (_, cur, L) in enumerate(_recur(table, pts, table.n)):
-        psi = cur * np.exp(L)
-        if j == table.n:
-            return last, psi, diag
-        diag += psi * psi
-        last = psi
+    for j, rows, L in _recur(table, pts, table.n):
+        scale = np.exp(L)
+        own = rows[1:-1] if j == table.n else rows[1:]
+        block = np.einsum("ij,ij->j", own, own)
+        block *= scale
+        block *= scale  # not exp(2 L), which underflows first
+        diag += block
+    return rows[-2] * scale, rows[-1] * scale, diag
 
 
 def kernel_matrix(table: RecurrenceTable, pts: np.ndarray) -> np.ndarray:
@@ -552,8 +584,8 @@ def gram_residual(table: RecurrenceTable, upto: int) -> float:
 
     Holds the (upto + 1) x M weighted values on the table's nodes.
     """
-    vals = np.array(
-        [cur * np.exp(L) for _, cur, L in _recur(table, table.rule.nodes, upto)]
+    vals = np.concatenate(
+        [rows[1:] * np.exp(L) for _, rows, L in _recur(table, table.rule.nodes, upto)]
     )
     gram = (vals * table.rule.weights) @ vals.T
     return float(np.abs(gram - np.eye(upto + 1)).max())

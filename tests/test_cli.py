@@ -326,3 +326,28 @@ def test_out_into_missing_directory_is_io(tmp_path):
     assert cp.stdout == ""
     assert json.loads(cp.stderr)["kind"] == "io"
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "file/x.json", "missing/deeper/x.json"])
+def test_unwritable_out_refused_before_the_computation(tmp_path, monkeypatch, capsys, where):
+    # the --out directory is checked before the handler runs, with the
+    # error open() gives, and no file is created
+    from rmtlab import cli
+    from rmtlab.serialize import json_dumps
+
+    (tmp_path / "file").write_text("")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError) as opened:
+        open(where, "w")
+    args = cli._build_parser().parse_args(["gue", "--k", "1", "--out", where])
+
+    def handler(_args):
+        raise AssertionError("the handler ran before --out was checked")
+
+    args.handler = handler
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    assert cli.run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json_dumps({"error": str(opened.value), "kind": "io"}) + "\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before

@@ -35,10 +35,10 @@ from rmtlab.orthopoly import (
 
 
 def _psi(table, k, pts):
-    """psi_k = p_k exp(-n V_t / 2) at the points: the last yield of _recur."""
-    for _, cur, L in _recur(table, np.asarray(pts, dtype=float), k):
+    """psi_k = p_k exp(-n V_t / 2) at the points: the last row of _recur's last block."""
+    for _, rows, L in _recur(table, np.asarray(pts, dtype=float), k):
         pass
-    return cur * np.exp(L)
+    return rows[-1] * np.exp(L)
 
 
 @pytest.fixture(scope="module")
@@ -559,10 +559,181 @@ def test_growth_bound_holds_along_build(e, n, s):
     sb = np.sqrt(table.beta)
     bound = np.log(_growth(lo, hi, table.alpha[:n], sb[:n], sb[1:]))
     pts = np.concatenate([[lo], table.rule.nodes, [hi]])
-    log_m = np.array(
-        [np.log(np.maximum(np.abs(prev), np.abs(cur))) + L for prev, cur, L in _recur(table, pts, n)]
+    # consecutive rows of a block are (p_{j-1}, p_j) for each of its own degrees j
+    log_m = np.concatenate(
+        [
+            np.log(np.maximum(np.abs(rows[:-1]), np.abs(rows[1:]))) + L
+            for _, rows, L in _recur(table, pts, n)
+        ]
     )
     observed = np.diff(log_m, axis=0).max(axis=1)
     assert np.all(bound >= 0.0)
     assert np.all(observed <= bound + 1e-12)
     assert observed[0] == pytest.approx(bound[0], abs=1e-12)
+
+
+def _recur_per_degree(table, pts, upto):
+    """The evaluation sweep one degree at a time, with about ten numpy calls
+    per degree: the reference for the block sweep. Yields (prev, cur, L) for
+    j = 0..upto, psi_{j-1} = prev exp(L) and psi_j = cur exp(L), and folds on
+    _growth's schedule as the block sweep does."""
+    lo, hi = table.rule.lo, table.rule.hi
+    sb = np.sqrt(table.beta)
+    L = table.log_gamma0 + _log_weight_half(pts, table.vt_coeffs(), table.n, table.rule.vt_min)
+    growth = _growth(lo, hi, table.alpha[:upto], sb[:upto], sb[1 : upto + 1]).tolist()
+    growth.append(0.0)
+    bound = 1.0
+    prev = np.zeros_like(pts)
+    cur = np.ones_like(pts)
+    for j in range(upto + 1):
+        yield prev, cur, L
+        if j == upto:
+            return
+        nxt = ((pts - table.alpha[j]) * cur - (sb[j] * prev if j > 0 else 0.0)) / sb[j + 1]
+        prev, cur = cur, nxt
+        bound *= growth[j]
+        if bound * growth[j + 1] > 1e20:
+            m = np.maximum(np.abs(prev), np.abs(cur))
+            mask = m > 1e80
+            if mask.any():
+                f = np.where(mask, m, 1.0)
+                L = L + np.log(f)
+                prev = prev / f
+                cur = cur / f
+            bound = 1.0
+
+
+def _psi_per_degree(table, pts, upto):
+    """psi_0..psi_upto at the points from the reference sweep, one row each."""
+    return np.array([cur * np.exp(L) for _, cur, L in _recur_per_degree(table, pts, upto)])
+
+
+def _psi_blocks(table, pts, upto):
+    """psi_0..psi_upto from the block sweep, and the blocks as yielded."""
+    blocks = list(_recur(table, pts, upto))
+    psi = np.concatenate([rows[1:] * np.exp(L) for _, rows, L in blocks])
+    return psi, blocks
+
+
+def _sweep_per_degree(table, pts):
+    """(psi_{n-1}, psi_n, kernel diagonal) from the reference sweep, one
+    degree at a time, never holding more than two degrees."""
+    diag = np.zeros_like(pts)
+    for j, (_, cur, L) in enumerate(_recur_per_degree(table, pts, table.n)):
+        psi = cur * np.exp(L)
+        if j == table.n:
+            return last, psi, diag
+        diag += psi * psi
+        last = psi
+
+
+def _kernel_matrix_per_degree(table, pts):
+    psi1, psi0, diag = _sweep_per_degree(table, pts)
+    outer = np.outer(psi0, psi1)
+    dx = np.subtract.outer(pts, pts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.sqrt(table.beta[table.n]) * (outer - outer.T) / dx
+    np.fill_diagonal(K, diag)
+    return K
+
+
+def _block_sweep_case(e, n, s):
+    """A table, a kernel grid and count nodes for one reference case."""
+    if e is None:
+        table = build_recurrence(Potential((0.0, 0.0, 1.0)), n, s, n)
+        return table, np.linspace(-1.6, 1.6, 25), np.linspace(-1.0, 1.0, 200)
+    table = _scaled_table(e, n, s)
+    params = make_scaling(table.potential, n, s)
+    grid = params.x_star + np.arange(-3.0, 3.125, 0.25) / np.sqrt(params.c * n)
+    b = unit_equilibrium(table.potential).b
+    delta = 0.25 * (params.x_star - b)
+    return table, grid, params.x_star + delta * leggauss(200)[0]
+
+
+@pytest.mark.parametrize(
+    "e, n, s",
+    [
+        (3.0, 40, 1.0),
+        (3.0, 160, 1.0),
+        (3.0, 2560, 1.0),
+        (4.0, 2560, 1.5),
+        (6.0, 1280, 1.0),
+        (None, 800, 1.0),
+    ],
+    ids=["e3-n40", "e3-n160", "e3-n2560", "e4-n2560-gap", "e6-n1280-gap", "x2-n800"],
+)
+def test_block_sweep_matches_per_degree_sweep(e, n, s):
+    # kernel entries to 1e-12 of max |K|, diagonals to 1e-12 of their largest
+    # entry; on the table's nodes each block holds at most _BLOCK values
+    from rmtlab.orthopoly import _BLOCK, _kernel_confluent
+
+    table, grid, nodes = _block_sweep_case(e, n, s)
+    K = kernel_matrix(table, grid)
+    ref = _kernel_matrix_per_degree(table, grid)
+    scale = np.abs(ref).max()
+    assert np.abs(K - ref).max() <= 1e-12 * scale
+    for pts in (nodes, table.rule.nodes):
+        diag = kernel_diagonal(table, pts)
+        ref_diag = _sweep_per_degree(table, pts)[2]
+        assert np.abs(diag - ref_diag).max() <= 1e-12 * np.abs(ref_diag).max()
+    for x, y in ((grid[12], grid[12]), (grid[0], grid[13]), (grid[3], grid[-1])):
+        pair = np.array([x, y])
+        ref_pair = _psi_per_degree(table, pair, n - 1)
+        direct = float(np.sum(ref_pair[:, 0] * ref_pair[:, 1]))
+        assert abs(_kernel_confluent(table, x, y) - direct) <= 1e-12 * scale
+    upto = min(n, 40)
+    ref_vals = _psi_per_degree(table, table.rule.nodes, upto)
+    ref_gram = (ref_vals * table.rule.weights) @ ref_vals.T
+    ref_residual = float(np.abs(ref_gram - np.eye(upto + 1)).max())
+    assert abs(gram_residual(table, upto) - ref_residual) <= 1e-12
+    width = table.rule.nodes.size
+    for _, rows, _ in _recur(table, table.rule.nodes, n):
+        assert rows.size <= max(_BLOCK, 3 * width)
+
+
+@pytest.mark.parametrize("upto", [0, 1])
+def test_block_sweep_lowest_degrees(eynard_table, upto):
+    pts = np.linspace(-2.0, 3.0, 7)
+    blocks = list(_recur(eynard_table, pts, upto))
+    assert len(blocks) == 1
+    j, rows, L = blocks[0]
+    assert j == upto and rows.shape == (upto + 2, pts.size)
+    assert np.all(rows[0] == 0.0)  # psi_{-1}
+    ref = _psi_per_degree(eynard_table, pts, upto)
+    assert np.abs(rows[1:] * np.exp(L) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("width", [1, 4, 5, 1000], ids=["one", "divides-n", "five", "past-n"])
+def test_block_sweep_block_ends(eynard_table, monkeypatch, width):
+    # n = 40 in blocks of one degree (every fold check on a block's last
+    # degree, and the last block holds degree n alone), of 4 (40 an exact
+    # multiple), of 5 and of more than n (blocks end at fold checks only)
+    pts = np.linspace(-2.0, 3.0, 7)
+    monkeypatch.setattr(orthopoly, "_BLOCK", (width + 2) * pts.size)
+    n = eynard_table.n
+    psi, blocks = _psi_blocks(eynard_table, pts, n)
+    ref = _psi_per_degree(eynard_table, pts, n)
+    assert np.abs(psi - ref).max(axis=1).max() <= 1e-13 * np.abs(ref).max()
+    ends = [j for j, _, _ in blocks]
+    assert ends[-1] == n and ends == sorted(set(ends))
+    assert all(rows.shape[0] - 1 <= max(width, 1) for _, rows, _ in blocks[1:])
+    if width == 1:
+        assert ends == list(range(1, n + 1))  # the first block also holds degree 0
+    elif width == 1000:
+        assert 1 < len(blocks) < n // 4  # one block per fold check, and the last
+    # no yielded block is written to after it is yielded
+    kept = [(rows, L, rows.copy(), L.copy()) for _, rows, L in _recur(eynard_table, pts, n)]
+    for rows, L, rows0, L0 in kept:
+        assert np.array_equal(rows, rows0) and np.array_equal(L, L0)
+    psi1, psi0, diag = weighted_sweep(eynard_table, pts)
+    ref1, ref0, ref_diag = _sweep_per_degree(eynard_table, pts)
+    for got, want in ((psi1, ref1), (psi0, ref0), (diag, ref_diag)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_block_sweep_short_table_one_block(hermite_table):
+    # n = 10 needs no fold check: the whole sweep is one block
+    pts = np.linspace(-1.0, 1.0, 5)
+    psi, blocks = _psi_blocks(hermite_table, pts, hermite_table.N)
+    assert [j for j, _, _ in blocks] == [hermite_table.N]
+    assert np.abs(psi - _psi_per_degree(hermite_table, pts, hermite_table.N)).max() < 1e-13

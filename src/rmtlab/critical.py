@@ -38,8 +38,9 @@ class ScalingParams:
 
     x_star_nt, the reduced-mass diagnostic, is computed when it is first
     read (json_dict and rescaled_kernel(center_nt=True) read it) and kept
-    on the bundle; a warning about its reduced-mass realization comes then,
-    not from make_scaling.
+    on the bundle. It is find_xstar_nt's point, or x* with a warning when
+    find_xstar_nt raises NoConvergenceError; the warning comes then, not
+    from make_scaling.
     """
 
     n: int
@@ -56,7 +57,11 @@ class ScalingParams:
 
     @cached_property
     def x_star_nt(self) -> float:
-        return float(find_xstar_nt(self.potential, self.t, self.m, strict=False))
+        try:
+            return float(find_xstar_nt(self.potential, self.t, self.m))
+        except NoConvergenceError as exc:
+            warnings.warn(str(exc), stacklevel=3)  # at the line that read x_star_nt
+            return self.x_star
 
     def json_dict(self) -> dict:
         """Every field but the potential, and x_star_nt."""
@@ -180,36 +185,19 @@ def s_to_t(s: float, n: int, J: float) -> float:
     return 1.0 + s * np.log(n) / (2.0 * n * J)
 
 
-def find_xstar_nt(
-    potential: Potential,
-    t: float,
-    m: float,
-    strict: bool = True,
-) -> float:
+def find_xstar_nt(potential: Potential, t: float, m: float) -> float:
     """Zero of the reduced-mass band's h nearest the gap-closing point.
 
     For t <= 1 (no mass deficit) this is the unit-mass point itself. For
     t > 1 the deficient band must stay clear of x*; if it does not (the
     reduced-mass one-cut realization breaks down, which happens whenever
-    the deficit undershoots the nucleating mass), strict mode raises
-    NoConvergenceError and non-strict mode falls back to x* with a warning;
-    any RmtlabError of the reduced-mass solve, and a root polish that
-    stalls, count as such a breakdown.
+    the deficit undershoots the nucleating mass), this raises
+    NoConvergenceError. Any RmtlabError of the reduced-mass solve, and a
+    root polish that stalls, count as such a breakdown and raise it too.
     """
     x_star = detect_singular(potential)
     if t <= 1.0 or m <= 0.0:
         return x_star
-    try:
-        return _reduced_mass_root(potential, t, m, x_star)
-    except NoConvergenceError as exc:
-        if strict:
-            raise
-        warnings.warn(str(exc), stacklevel=2)
-        return x_star
-
-
-def _reduced_mass_root(potential: Potential, t: float, m: float, x_star: float) -> float:
-    """find_xstar_nt for t > 1 and m > 0; every breakdown is a NoConvergenceError."""
     try:
         eq = solve_cached(potential, t, 1.0 - m)
     except RmtlabError as exc:
@@ -269,18 +257,18 @@ def make_scaling(potential: Potential, n: int, s: float) -> ScalingParams:
 def phix_growth_check(potential: Potential, s: float, n_list) -> list[float]:
     """Residuals d_n = n phi_{n,t}(x*_{n,t}) - (nu/2) log n along n_list.
 
-    phi comes from the reduced-mass band at t(n); boundedness of d_n is the
-    finite-size form of the matching growth law. Requires the reduced-mass
-    realization to be valid at every n (strict mode of find_xstar_nt).
+    t and m come from make_scaling at each n, and phi from the reduced-mass
+    band there; boundedness of d_n is the finite-size form of the matching
+    growth law. Requires 0 < s <= 8 (make_scaling's range, with a mass
+    deficit), else InvalidParameterError, and the reduced-mass realization
+    to be valid at every n: find_xstar_nt's NoConvergenceError otherwise.
     """
-    if s <= 0:
-        raise InvalidParameterError(f"s must be positive, got {s}")
-    J = _geometry(potential)[1]
+    if not 0 < s <= _MAX_ABS_S:  # NaN fails this too
+        raise InvalidParameterError(f"0 < s <= {_MAX_ABS_S} required, got {s}")
     out = []
     for n in n_list:
-        t = s_to_t(s, n, J)
-        m = s / n
-        x_nt = find_xstar_nt(potential, t, m, strict=True)
-        eq = solve_cached(potential, t, 1.0 - m)
+        params = make_scaling(potential, n, s)
+        x_nt = find_xstar_nt(potential, params.t, params.m)
+        eq = solve_cached(potential, params.t, 1.0 - params.m)
         out.append(float(n * equilibrium.phi(eq, x_nt) - 0.5 * s * np.log(n)))
     return out

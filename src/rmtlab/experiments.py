@@ -28,6 +28,8 @@ class GridSpec:
         finite = np.isfinite((self.u_min, self.u_max, self.step)).all()
         if not finite or self.step <= 0 or self.u_max <= self.u_min:
             raise InvalidParameterError(f"bad grid spec {self}")
+        if not np.isfinite((self.u_max - self.u_min) / self.step):
+            raise InvalidParameterError(f"grid spec {self} has too many points to count")
 
     def points(self) -> np.ndarray:
         count = int(round((self.u_max - self.u_min) / self.step)) + 1
@@ -92,12 +94,17 @@ def _gue_grid(k: int, grid: GridSpec) -> np.ndarray:
     return values
 
 
+def _gue_diff(values: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
+    """values minus the size-k GUE kernel on the grid, once the shapes match."""
+    size = len(grid.points())
+    if np.shape(values) != (size, size):
+        raise InvalidParameterError("values matrix does not match the grid")
+    return values - _gue_grid(k, grid)
+
+
 def compare_to_gue(values: np.ndarray, grid: GridSpec, k: int) -> ComparisonReport:
     """Sup and scaled-l2 distance of a kernel grid from the size-k GUE kernel."""
-    pts = grid.points()
-    if values.shape != (len(pts), len(pts)):
-        raise InvalidParameterError("values matrix does not match the grid")
-    diff = values - _gue_grid(k, grid)
+    diff = _gue_diff(values, grid, k)
     return ComparisonReport(
         k=k,
         sup_error=float(np.abs(diff).max()),
@@ -107,10 +114,7 @@ def compare_to_gue(values: np.ndarray, grid: GridSpec, k: int) -> ComparisonRepo
 
 def best_single_index(values: np.ndarray, grid: GridSpec) -> tuple[int, float]:
     """GUE size in 0..4 with the smallest sup distance to the given grid."""
-    sups = [
-        float(np.abs(values - _gue_grid(j, grid)).max())
-        for j in range(_SINGLE_FIT_RANGE)
-    ]
+    sups = [float(np.abs(_gue_diff(values, grid, j)).max()) for j in range(_SINGLE_FIT_RANGE)]
     j = int(np.argmin(sups))
     return j, sups[j]
 
@@ -123,13 +127,13 @@ def lambda_fit(values: np.ndarray, grid: GridSpec, k: int) -> LambdaFit:
     """
     if k < 0:
         raise InvalidParameterError(f"k must be nonnegative, got {k}")
-    base = _gue_grid(k, grid)
-    direction = _gue_grid(k + 1, grid) - base
+    offset = _gue_diff(values, grid, k)
+    direction = _gue_grid(k + 1, grid) - _gue_grid(k, grid)
     denom = float(np.sum(direction * direction))
-    lam = float(np.sum((values - base) * direction) / denom) if denom > 0 else 0.0
+    lam = float(np.sum(offset * direction) / denom) if denom > 0 else 0.0
     clamped = not 0.0 <= lam <= 1.0
     lam = min(max(lam, 0.0), 1.0)
-    resid = values - base - lam * direction
+    resid = offset - lam * direction
     return LambdaFit(
         lambda_plus=lam,
         lambda_minus=1.0 - lam,

@@ -14,7 +14,8 @@ The rule has panels of a fixed order, as many as the window needs to
 resolve about n oscillations across the band. Too few nodes give a wrong
 table without any other sign, so every table is checked against the Freud
 string equations (Freud 1976), which hold exactly and need no quadrature:
-string_residual. A table that fails them is rebuilt on twice the nodes.
+string_residual. A table that fails them is rebuilt on the same window
+with every panel split in two.
 
 Every weighted polynomial value psi_k = p_k exp(-n V_t / 2) this module
 evaluates comes from one vectorized sweep, _recur: the three-term recurrence
@@ -26,8 +27,9 @@ calls per degree. weighted_sweep (behind kernel_matrix, kernel_diagonal and
 scalar kernel) runs it on a grid, the confluent sum on two points,
 gram_residual on the nodes; each reads a block at a time. The Stieltjes
 build keeps a loop of its own, since it forms alpha and beta as it goes.
-This module alone chooses the quadrature window and the node count; _recur
-is the one gate of every evaluation.
+This module alone chooses the quadrature window and the node count:
+quadrature_support gives the default rule, and only build_recurrence's
+refinement departs from it. _recur is the one gate of every evaluation.
 
 Both sweeps fold mantissas into the log scales on one schedule; the
 evaluation sweep ends a block at every fold check. On the window
@@ -150,7 +152,6 @@ def quadrature_support(
     potential: Potential,
     n: int,
     t: float,
-    total_nodes: int | None = None,
     level: float = _LEVEL,
 ) -> QuadratureRule:
     """Composite Gauss-Legendre rule on the window where the weighted
@@ -175,10 +176,9 @@ def quadrature_support(
     The rule has panels of 63 Gauss-Legendre nodes each, uniform over the
     window, and at least max(2000, 5 n (hi - lo) / (b - a)) nodes, where
     [a, b] is the unit band: a degree-n polynomial oscillates about n times
-    across the band, and every panel must resolve its share. total_nodes
-    may only refine that default: a smaller count raises
-    InvalidParameterError, since it corrupts the table without any other
-    sign. Raises InvalidParameterError unless n >= 1 and t is positive and
+    across the band, and every panel must resolve its share; fewer nodes
+    would corrupt the table without any other sign. Raises
+    InvalidParameterError unless n >= 1 and t is positive and
     finite, and the typed error of the unit solve when V has no one-cut
     regular unit measure.
     """
@@ -207,13 +207,11 @@ def quadrature_support(
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     total = max(_MIN_NODES, int(np.ceil(_NODES_PER_BAND * n * (hi - lo) / (eq.b - eq.a))))
-    if total_nodes is not None:
-        if total_nodes < total:
-            raise InvalidParameterError(
-                f"total_nodes = {total_nodes} is below the default {total} for n = {n}"
-            )
-        total = total_nodes
-    panels = -(-total // _ORDER)
+    return _panel_rule(lo, hi, -(-total // _ORDER), vt_min)
+
+
+def _panel_rule(lo: float, hi: float, panels: int, vt_min: float) -> QuadratureRule:
+    """Composite rule of equal panels of _ORDER Gauss-Legendre nodes on [lo, hi]."""
     xs, ws = _GL
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -240,7 +238,8 @@ def build_recurrence(
       the window level doubles and the wider window sizes its rule afresh.
     - If the table misses the string equations (string_residual: the
       diagonal residual above 1e-12 n or the off-diagonal one above 1e-12),
-      the rule was too coarse, and the build repeats on twice the nodes.
+      the rule was too coarse, and the build repeats on the same window
+      with every panel of the rule split in two.
 
     Raises PrecisionLimitError when the attempts run out,
     InvalidParameterError unless n >= 1, t is positive and finite and
@@ -251,15 +250,16 @@ def build_recurrence(
     if not 0 <= N <= 1.2 * n + 10:
         raise InvalidParameterError(f"N = {N} outside 0..1.2 n + 10 for n = {n}")
     vt = np.asarray(potential.coeffs) / t
-    level, total = _LEVEL, None
+    level, rule = _LEVEL, None
     for _ in range(_WIDENINGS):
-        rule = quadrature_support(potential, n, t, total, level=level)
+        if rule is None:
+            rule = quadrature_support(potential, n, t, level=level)
         log_half = _log_weight_half(rule.nodes, vt, n, rule.vt_min)
         alpha, beta, log_gamma0, edge = _stieltjes(rule, log_half, N)
         if edge > _EDGE_TOL:
             failure = f"degree-{N} polynomials still carry weight {edge:.1e} at the window ends"
             level *= 2.0
-            total = None
+            rule = None
             continue
         table = RecurrenceTable(
             potential=potential,
@@ -278,7 +278,7 @@ def build_recurrence(
             f"the table on {rule.nodes.size} nodes misses the string equations "
             f"by {diag:.1e} (diagonal) and {off:.1e} (off-diagonal)"
         )
-        total = 2 * rule.nodes.size
+        rule = _panel_rule(rule.lo, rule.hi, 2 * (rule.nodes.size // _ORDER), rule.vt_min)
     raise PrecisionLimitError(failure)
 
 

@@ -240,7 +240,9 @@ def test_out_writes_csv(tmp_path):
     assert target.read_text() == run_cli("gue", "--k", "1", "--grid", "0,1,0.5").stdout
 
 
-@pytest.mark.parametrize("grid", ["nan,1,0.5", "0,1,nan", "0,inf,0.5"])
+@pytest.mark.parametrize(
+    "grid", ["nan,1,0.5", "0,1,nan", "0,inf,0.5", "0,1e300,1e-300", "-1e308,1e308,1"]
+)
 @pytest.mark.parametrize("cmd", ["gue", "kernel"])
 def test_non_finite_grid_is_a_usage_error(cmd, grid, eynard_config):
     # rejected while the arguments are parsed, like any other bad grid

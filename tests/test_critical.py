@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,14 +184,16 @@ def test_find_xstar_nt_unit_branch(eynard3_pot):
 
 
 def test_find_xstar_nt_desk_scale_breakdown(eynard3_pot):
-    # the reduced-mass one-cut band reaches x* at these parameters, so the
-    # strict mode must refuse rather than return a point inside the band
+    # the reduced-mass one-cut band reaches x* at these parameters, so
+    # find_xstar_nt must refuse rather than return a point inside the band;
+    # the bundle's lenient x_star_nt falls back to x* with a warning
     J = scaling_J(-2.0, 2.0, 3.0)
     t = s_to_t(1.0, 160, J)
     with pytest.raises(NoConvergenceError):
-        find_xstar_nt(eynard3_pot, t, 1.0 / 160.0, strict=True)
+        find_xstar_nt(eynard3_pot, t, 1.0 / 160.0)
+    params = replace(make_scaling(eynard3_pot, 160, 1.0), t=t, m=1.0 / 160.0)
     with pytest.warns(UserWarning):
-        x = find_xstar_nt(eynard3_pot, t, 1.0 / 160.0, strict=False)
+        x = params.x_star_nt
     assert abs(x - 3.0) < 1e-6
 
 
@@ -205,14 +208,14 @@ def test_nonpositive_s_reuses_unit_mass_solve(eynard3_pot):
 @pytest.mark.parametrize("n", [240, 300])
 def test_make_scaling_survives_reduced_mass_no_convergence(eynard3_pot, n):
     # the reduced-mass endpoint Newton does not converge here; the kernel
-    # does not need x_star_nt, so non-strict mode falls back to x*, with
-    # the warning coming when the lazy diagnostic is read
+    # does not need x_star_nt, so the bundle falls back to x*, with the
+    # warning coming when the lazy diagnostic is read
     params = make_scaling(eynard3_pot, n, 1.0)
     with pytest.warns(UserWarning):
         x_star_nt = params.x_star_nt
     assert x_star_nt == params.x_star
     with pytest.raises(NoConvergenceError):
-        find_xstar_nt(eynard3_pot, params.t, params.m, strict=True)
+        find_xstar_nt(eynard3_pot, params.t, params.m)
 
 
 def test_make_scaling_never_computes_x_star_nt(eynard3_pot, monkeypatch):
@@ -241,8 +244,12 @@ def test_x_star_nt_read_once(eynard3_pot, monkeypatch):
 
 @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 2.0])
 def test_json_x_star_nt_is_nonstrict_find(eynard3_pot, s):
+    # find_xstar_nt's point, or x* where it raises
     params = make_scaling(eynard3_pot, 120, s)
-    expected = find_xstar_nt(eynard3_pot, params.t, params.m, strict=False)
+    try:
+        expected = find_xstar_nt(eynard3_pot, params.t, params.m)
+    except NoConvergenceError:
+        expected = params.x_star
     assert params.json_dict()["x_star_nt"] == expected
 
 
@@ -273,17 +280,36 @@ def test_nonstrict_polish_stall_falls_back(eynard3_pot, monkeypatch):
     # t = 1.05, m = 0.05 has a valid reduced-mass band clear of x*
     x_star = detect_singular(eynard3_pot)
     assert abs(find_xstar_nt(eynard3_pot, 1.05, 0.05) - x_star) < 0.1
+    params = replace(make_scaling(eynard3_pot, 120, 1.0), t=1.05, m=0.05)
     monkeypatch.setattr(critical, "_polish_root", lambda h, dh, x0: x0 + 1.0)
     with pytest.raises(NoConvergenceError):
-        find_xstar_nt(eynard3_pot, 1.05, 0.05, strict=True)
+        find_xstar_nt(eynard3_pot, 1.05, 0.05)
     with pytest.warns(UserWarning, match="root polish stalled"):
-        x = find_xstar_nt(eynard3_pot, 1.05, 0.05, strict=False)
+        x = params.x_star_nt
     assert x == x_star
 
 
 def test_phix_growth_check_rejects_nonpositive_s(eynard3_pot):
     with pytest.raises(InvalidParameterError):
         phix_growth_check(eynard3_pot, 0.0, [40])
+
+
+@pytest.mark.parametrize("s", [float("nan"), 8.5])
+def test_phix_growth_check_rejects_s_outside_make_scaling_range(eynard3_pot, s):
+    # t and m come from make_scaling, which refuses NaN and |s| > 8
+    with pytest.raises(InvalidParameterError, match=r"0 < s <= 8.0 required"):
+        phix_growth_check(eynard3_pot, s, [40])
+
+
+def test_phix_growth_check_quartic_e4():
+    # the reduced-mass realization holds at e = 4, s = 1 from n = 40 on;
+    # d_n measured -1.3838, -1.3685, -1.3541, -1.3424, pinned to 1e-3,
+    # and both bounds of acceptance criterion 12 hold
+    pot, _ = make_eynard(4.0)
+    d = phix_growth_check(pot, 1.0, [40, 80, 160, 320])
+    assert d == pytest.approx([-1.3838, -1.3685, -1.3541, -1.3424], abs=1e-3)
+    assert max(abs(x) for x in d) < 10.0 * abs(d[0])
+    assert abs(d[3]) < 3.0 * abs(d[0])
 
 
 def test_phix_growth_check_desk_scale(eynard3_pot):

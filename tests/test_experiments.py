@@ -52,6 +52,8 @@ def test_grid_validation():
         (0.0, 1.0, np.nan),
         (0.0, np.inf, 0.5),
         (-np.inf, 0.0, 0.5),
+        (0.0, 1e300, 1e-300),  # finite bounds, but the point count overflows
+        (-1e308, 1e308, 1.0),
     ):
         with pytest.raises(InvalidParameterError):
             GridSpec(*bounds)
@@ -68,6 +70,20 @@ def test_compare_constant_offset():
     values = gue_kernel_grid(2, GRID.points()) + 0.01
     rep = compare_to_gue(values, GRID, 2)
     assert abs(rep.sup_error - 0.01) < 1e-14
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (25, 24), (25,), (1, 25)])
+def test_gue_comparisons_check_shape(shape):
+    # every comparison refuses values that do not match the 25-point grid,
+    # also shapes that numpy would broadcast against the 25 x 25 GUE grid
+    values = np.zeros(shape)
+    for compare in (
+        lambda: compare_to_gue(values, GRID, 1),
+        lambda: best_single_index(values, GRID),
+        lambda: lambda_fit(values, GRID, 1),
+    ):
+        with pytest.raises(InvalidParameterError, match="does not match the grid"):
+            compare()
 
 
 def test_lambda_fit_exact_mixture():

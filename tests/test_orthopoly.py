@@ -303,14 +303,6 @@ def test_table_size_bound(quadratic):
         build_recurrence(quadratic, 10, 1.0, 30)
 
 
-@pytest.mark.parametrize("total_nodes", [0, 1, 64])
-def test_total_nodes_below_default(eynard3_pot, total_nodes):
-    # fewer nodes than the window-sized default (the 2000-node floor at
-    # n = 40) give a wrong table without an error
-    with pytest.raises(InvalidParameterError):
-        quadrature_support(eynard3_pot, 40, 1.0, total_nodes=total_nodes)
-
-
 def test_gauss_legendre_rule_cached(eynard3_pot):
     # panels of 63 leggauss nodes, uniform over the window, as many as the
     # window-sized node count needs (at the 2000-node floor, the former
@@ -399,7 +391,10 @@ def test_coarse_rule_refined(eynard3_pot, monkeypatch):
     monkeypatch.setattr(orthopoly, "_NODES_PER_BAND", 2)
     coarse = quadrature_support(eynard3_pot, n, table.t)
     refined = build_recurrence(eynard3_pot, n, table.t, n)
-    assert refined.rule.nodes.size >= 4 * coarse.nodes.size
+    # two rebuilds, each on the same window with every panel split in two
+    rule = refined.rule
+    assert (rule.lo, rule.hi, rule.vt_min) == (coarse.lo, coarse.hi, coarse.vt_min)
+    assert rule.nodes.size == 4 * coarse.nodes.size
     assert np.max(np.abs(refined.alpha - table.alpha)) < 1e-12
     assert np.max(np.abs(refined.beta - table.beta)) < 1e-12
 

@@ -198,8 +198,15 @@ def convergence_sweep(
     """One row per (n, s): best-single-kernel errors, interpolation weight,
     eigenvalue count, and a per-s log-log decay exponent of the sup error.
 
-    Rows whose computation fails carry NaNs; the sweep continues.
+    Rows whose computation fails carry NaNs; the sweep continues. Raises
+    InvalidParameterError when an n or an s repeats: a repeated row adds
+    nothing, and a decay exponent fitted over one distinct n means nothing.
     """
+    n_list, s_list = list(n_list), list(s_list)
+    for name, values in (("n", n_list), ("s", s_list)):
+        for i, v in enumerate(values):
+            if any(u == v for u in values[:i]):
+                raise InvalidParameterError(f"{name} values must not repeat, got {v!r} twice")
     rows: list[SweepRow] = []
     for s in s_list:
         partial = []

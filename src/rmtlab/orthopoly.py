@@ -10,12 +10,17 @@ effective potential of the unit equilibrium measure, so it holds the
 gap-closing point x* at every n. The weight is rescaled by exp(+n min V_t)
 internally; the rescaling cancels in every kernel value.
 
-The rule has panels of a fixed order, as many as the window needs to
-resolve about n oscillations across the band. Too few nodes give a wrong
-table without any other sign, so every table is checked against the Freud
-string equations (Freud 1976), which hold exactly and need no quadrature:
-string_residual. A table that fails them is rebuilt on the same window
-with every panel split in two.
+The rule has panels of 63 Gauss-Legendre nodes, laid at equal steps of the
+integral of g = max(rho_1, g_off), with rho_1 the unit equilibrium density:
+about four nodes per zero of p_n on the band, and off it, where nothing
+oscillates, panels one outpost width wide. Where that takes no fewer nodes
+than the uniform rule, 5 n / (b - a) per unit length of the window (small
+n), or t is outside the scaling regime that rho_1 describes, the panels
+are uniform. Too few nodes give a wrong table without any other sign, so
+every table is checked against the Freud string equations (Freud 1976),
+which hold exactly and need no quadrature: string_residual. A table that
+fails them is rebuilt on the same window with every panel of its rule
+split in two at its midpoint.
 
 Every weighted polynomial value psi_k = p_k exp(-n V_t / 2) this module
 evaluates comes from one vectorized sweep, _recur: the three-term recurrence
@@ -71,7 +76,9 @@ _SAMPLES = 4001
 _MAX_DOUBLINGS = 60
 _ORDER = 63  # Gauss-Legendre nodes per panel
 _MIN_NODES = 2000
-_NODES_PER_BAND = 5  # nodes per degree, per band width of window
+_NODES_PER_BAND = 5  # nodes per degree, per band width of window, in the uniform rule
+_NODES_PER_ZERO = 4  # nodes per zero of p_n, in the density-adapted rule
+_REGIME = 16.0  # n |t - 1| / log n up to which the panels follow rho_1
 _STRING_TOL = 1e-12
 _RENORM = 1e100  # no mantissa of a sweep passes this
 _GROWTH = 1e20  # growth bound between fold checks
@@ -85,11 +92,20 @@ _DIAG_SWITCH = 1e-8
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    lo: float
-    hi: float
+    """Composite Gauss-Legendre rule: _ORDER nodes on each panel between edges."""
+
+    edges: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     vt_min: float
+
+    @property
+    def lo(self) -> float:
+        return float(self.edges[0])
+
+    @property
+    def hi(self) -> float:
+        return float(self.edges[-1])
 
 
 @dataclass(frozen=True)
@@ -141,6 +157,15 @@ def _log_potential_samples(potential: Potential, doubling: int) -> tuple[np.ndar
     return x, two_u
 
 
+@lru_cache(maxsize=128)
+def _density_samples(potential: Potential, doubling: int) -> np.ndarray:
+    """rho_1, the unit equilibrium density, at _log_potential_samples' points; read-only."""
+    x = _log_potential_samples(potential, doubling)[0]
+    rho = equilibrium.density(critical.unit_equilibrium(potential), x)
+    rho.flags.writeable = False
+    return rho
+
+
 def _check_nt(n, t) -> None:
     if not n >= 1:
         raise InvalidParameterError(f"n must be positive, got {n}")
@@ -173,11 +198,21 @@ def quadrature_support(
     constant added to V then moves no window at t != 1. The window is
     expanded by five percent of its width on each side.
 
-    The rule has panels of 63 Gauss-Legendre nodes each, uniform over the
-    window, and at least max(2000, 5 n (hi - lo) / (b - a)) nodes, where
-    [a, b] is the unit band: a degree-n polynomial oscillates about n times
-    across the band, and every panel must resolve its share; fewer nodes
-    would corrupt the table without any other sign. Raises
+    The rule has panels of 63 Gauss-Legendre nodes each, and every panel
+    must resolve its share of the oscillations of p_n; fewer nodes would
+    corrupt the table without any other sign. The panel edges sit at equal
+    steps of the integral over the window of g = max(rho_1, g_off), 4 n /
+    63 panels per unit of it and at least 32 panels. rho_1, the unit
+    equilibrium density, gives the band about 4 nodes per zero of p_n; g_off
+    makes an off-band panel one outpost width wide, min(b - a, 1 / sqrt(c))
+    / sqrt(n) with c the curvature at x*, or (b - a) / sqrt(n) when V has no
+    x*. rho_1 is sampled once per potential and bracket, beside U_1. The
+    panels are uniform instead when that takes no fewer of them than the
+    uniform rule, max(2000, 5 n (hi - lo) / (b - a)) nodes spread evenly
+    over the window ([a, b] the unit band, across which a degree-n
+    polynomial oscillates about n times), and when n |t - 1| > 16 log n:
+    rho_1 describes the weight in the scaling regime |t - 1| = O(log n / n),
+    not far from it. Raises
     InvalidParameterError unless n >= 1 and t is positive and
     finite, and the typed error of the unit solve when V has no one-cut
     regular unit measure.
@@ -190,9 +225,10 @@ def quadrature_support(
     vt_min = float(np.min(npoly.polyval(crit, vt)))
     eq = critical.unit_equilibrium(potential)
     try:
-        x_star = critical.detect_singular(potential)
+        x_star, _, c = critical._geometry(potential)
+        width = min(eq.b - eq.a, 1.0 / math.sqrt(c))  # outpost width times sqrt(n)
     except (NoSingularPointError, WrongOrderError):
-        x_star = -np.inf
+        x_star, width = -np.inf, eq.b - eq.a
     for doubling in range(1, _MAX_DOUBLINGS + 1):
         x, two_u = _log_potential_samples(potential, doubling)
         excess = n * (npoly.polyval(x, vt) - two_u + eq.ell)
@@ -207,18 +243,59 @@ def quadrature_support(
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     total = max(_MIN_NODES, int(np.ceil(_NODES_PER_BAND * n * (hi - lo) / (eq.b - eq.a))))
-    return _panel_rule(lo, hi, -(-total // _ORDER), vt_min)
+    uniform = -(-total // _ORDER)
+    edges = _density_edges(potential, doubling, n, t, lo, hi, width, uniform)
+    if edges is None:
+        edges = np.linspace(lo, hi, uniform + 1)
+    return _panel_rule(edges, vt_min)
 
 
-def _panel_rule(lo: float, hi: float, panels: int, vt_min: float) -> QuadratureRule:
-    """Composite rule of equal panels of _ORDER Gauss-Legendre nodes on [lo, hi]."""
+def _density_edges(
+    potential: Potential,
+    doubling: int,
+    n: int,
+    t: float,
+    lo: float,
+    hi: float,
+    width: float,
+    most: int,
+) -> np.ndarray | None:
+    """Panel edges on [lo, hi] at equal steps of the integral of
+    g = max(rho_1, g_off), _NODES_PER_ZERO n / _ORDER panels per unit of it,
+    or None when that takes at least `most` panels or t is outside the
+    scaling regime n |t - 1| <= _REGIME log n.
+
+    g_off makes an off-band panel width / sqrt(n) wide. The integral is the
+    trapezoid sum on the bracket's samples of rho_1, and g_off bounds it
+    below before any sample is read.
+    """
+    if n * abs(t - 1.0) > _REGIME * math.log(n):
+        return None
+    g_off = _ORDER / (_NODES_PER_ZERO * width * math.sqrt(n))
+    if _NODES_PER_ZERO * n * g_off * (hi - lo) >= most * _ORDER:
+        return None
+    x = _log_potential_samples(potential, doubling)[0]
+    rho = _density_samples(potential, doubling)
+    first, last = np.searchsorted(x, lo, "right"), np.searchsorted(x, hi, "left")
+    pts = np.concatenate(([lo], x[first:last], [hi]))
+    g = np.concatenate((np.interp([lo], x, rho), rho[first:last], np.interp([hi], x, rho)))
+    np.maximum(g, g_off, out=g)
+    G = np.zeros_like(pts)
+    np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(pts), out=G[1:])
+    panels = max(-(-_MIN_NODES // _ORDER), math.ceil(_NODES_PER_ZERO * n * G[-1] / _ORDER))
+    if panels >= most:
+        return None
+    return np.interp(np.linspace(0.0, G[-1], panels + 1), G, pts)
+
+
+def _panel_rule(edges: np.ndarray, vt_min: float) -> QuadratureRule:
+    """Composite rule of _ORDER Gauss-Legendre nodes on each panel between the edges."""
     xs, ws = _GL
-    edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mids[:, None] + half[:, None] * xs[None, :]).ravel()
     weights = (half[:, None] * ws[None, :]).ravel()
-    return QuadratureRule(lo=lo, hi=hi, nodes=nodes, weights=weights, vt_min=vt_min)
+    return QuadratureRule(edges=edges, nodes=nodes, weights=weights, vt_min=vt_min)
 
 
 def build_recurrence(
@@ -239,7 +316,7 @@ def build_recurrence(
     - If the table misses the string equations (string_residual: the
       diagonal residual above 1e-12 n or the off-diagonal one above 1e-12),
       the rule was too coarse, and the build repeats on the same window
-      with every panel of the rule split in two.
+      with every panel of the rule split in two at its midpoint.
 
     Raises PrecisionLimitError when the attempts run out,
     InvalidParameterError unless n >= 1, t is positive and finite and
@@ -278,7 +355,10 @@ def build_recurrence(
             f"the table on {rule.nodes.size} nodes misses the string equations "
             f"by {diag:.1e} (diagonal) and {off:.1e} (off-diagonal)"
         )
-        rule = _panel_rule(rule.lo, rule.hi, 2 * (rule.nodes.size // _ORDER), rule.vt_min)
+        split = np.empty(2 * rule.edges.size - 1)
+        split[::2] = rule.edges
+        split[1::2] = 0.5 * (rule.edges[:-1] + rule.edges[1:])
+        rule = _panel_rule(split, rule.vt_min)
     raise PrecisionLimitError(failure)
 
 

@@ -265,6 +265,14 @@ def test_nan_s_is_invalid(cmd, eynard_config):
     assert err == {"error": "|s| <= 8.0 required, got nan", "kind": "invalid-parameter"}
 
 
+def test_sweep_repeated_n_is_invalid(eynard_config):
+    cp = run_cli("sweep", "--potential", eynard_config, "--n-list", "160,160", "--s-list", "1")
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    err = json.loads(cp.stderr)
+    assert err == {"error": "n values must not repeat, got 160 twice", "kind": "invalid-parameter"}
+
+
 def test_sweep_nan_s_is_a_failure_row(eynard_config):
     cp = run_cli(
         "sweep", "--potential", eynard_config, "--n-list", "40",

@@ -192,6 +192,15 @@ def test_sweep_decay_exponents(eynard3_pot):
         assert 0.0 <= r.lambda_plus <= 1.0
 
 
+@pytest.mark.parametrize("n_list, s_list", [([160, 160], [1.0]), ([40, 80], [1.0, 2.0, 1.0])])
+def test_sweep_refuses_repeated_values(eynard3_pot, n_list, s_list):
+    # a decay exponent fitted over one distinct n would mean nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="must not repeat"):
+            convergence_sweep(eynard3_pot, n_list, s_list, GRID)
+
+
 def test_sweep_survives_row_failure(eynard3_pot):
     # n = 1 has no s <-> t map (log n = 0), so that row fails on purpose
     rows = convergence_sweep(eynard3_pot, [40, 1], [1.0], GRID)

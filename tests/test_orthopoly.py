@@ -192,12 +192,16 @@ def test_node_doubling_stability(quadratic, eynard3_pot, monkeypatch):
 def test_hermite_oracle_large_n(quadratic):
     # no cap on n: beta_j = j t / (2n) at n = 2560, and at t != 1 for
     # n = 800; at t = 0.1, n = 500 the first window cuts the band of V_t
-    # and the build must widen it
+    # and the build must widen it; at n = 2560 the density-adapted panels
+    # take fewer nodes than the uniform rule (V = x^2 has no x*: off the
+    # band they are (b - a) / sqrt(n) wide)
     for n, t in ((2560, 1.0), (800, 0.5), (800, 2.0), (500, 0.1)):
         table = build_recurrence(quadratic, n, t, n)
         beta_exact = np.arange(n + 1) * t / (2.0 * n)
         assert np.max(np.abs(table.beta - beta_exact)) < 1e-12
         assert np.max(np.abs(table.alpha)) < 1e-12
+        if n == 2560:
+            assert table.rule.nodes.size < _uniform_size(quadratic, table.rule, n)
 
 
 def _longdouble_stieltjes(coeffs, n, t, N):
@@ -288,14 +292,98 @@ def test_gram_residual_at_degree_n(eynard3_pot):
     assert gram_residual(table, 400) < 1e-9
 
 
+def _split_build(pot, n, t, monkeypatch):
+    """The first rule of build_recurrence, and its table when the first
+    table is reported to miss the string equations."""
+    rules = []
+
+    def missed_once(table):
+        rules.append(table.rule)
+        return (np.inf, np.inf) if len(rules) == 1 else string_residual(table)
+
+    with monkeypatch.context() as m:
+        m.setattr(orthopoly, "string_residual", missed_once)
+        table = build_recurrence(pot, n, t, n)
+    return rules[0], table
+
+
+def _uniform_size(pot, rule, n):
+    """Nodes of the uniform rule on the rule's window: 5 n / (b - a) per unit length."""
+    eq = unit_equilibrium(pot)
+    count = max(2000, int(np.ceil(5 * n * (rule.hi - rule.lo) / (eq.b - eq.a))))
+    return 63 * -(-count // 63)
+
+
+def _assert_tables_agree(table, other, tol):
+    assert np.max(np.abs(other.alpha - table.alpha)) < tol
+    assert np.max(np.abs(other.beta[1:] - table.beta[1:]) / table.beta[1:]) < tol
+
+
+def _assert_composite(rule, edges):
+    """The rule is 63 leggauss nodes on each panel between the edges, bit for bit."""
+    xs, ws = leggauss(63)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    assert np.array_equal(rule.edges, edges)
+    assert np.array_equal(rule.nodes, (mids[:, None] + half[:, None] * xs).ravel())
+    assert np.array_equal(rule.weights, (half[:, None] * ws).ravel())
+
+
+def _assert_split(first, rule):
+    """The rule is the first rule with every panel split at its midpoint."""
+    edges = np.empty(2 * first.edges.size - 1)
+    edges[::2] = first.edges
+    edges[1::2] = 0.5 * (first.edges[:-1] + first.edges[1:])
+    _assert_composite(rule, edges)
+    assert rule.vt_min == first.vt_min
+
+
 @pytest.mark.parametrize("n", [800, 2560])
 def test_node_doubling_large_n(eynard3_pot, n, monkeypatch):
+    # the default table against one on its rule with every panel split in
+    # two: a retry splits the density-adapted rule it has, not a fresh
+    # uniform one
     table = _ladder_table(eynard3_pot, n)
-    monkeypatch.setattr(orthopoly, "_NODES_PER_BAND", 2 * orthopoly._NODES_PER_BAND)
-    finer = build_recurrence(eynard3_pot, n, table.t, n)
-    assert finer.rule.nodes.size >= 2 * (table.rule.nodes.size - orthopoly._ORDER)
-    assert np.max(np.abs(finer.beta - table.beta)) < 1e-12
-    assert np.max(np.abs(finer.alpha - table.alpha)) < 1e-12
+    first, finer = _split_build(eynard3_pot, n, table.t, monkeypatch)
+    assert first.nodes.size == table.rule.nodes.size < _uniform_size(eynard3_pot, first, n)
+    _assert_split(first, finer.rule)
+    _assert_tables_agree(table, finer, 1e-12)
+
+
+def test_retry_splits_the_rule_it_has(quadratic, monkeypatch):
+    # the split of V = x^2's density-adapted rule keeps beta_j = j / (2n)
+    n = 2560
+    first, table = _split_build(quadratic, n, 1.0, monkeypatch)
+    assert first.nodes.size < _uniform_size(quadratic, first, n)
+    _assert_split(first, table.rule)
+    assert np.max(np.abs(table.beta - np.arange(n + 1) / (2.0 * n))) < 1e-12
+
+
+@pytest.mark.parametrize("e", [3.0, 4.0, 6.0])
+@pytest.mark.parametrize("s", [0.5, 2.5])
+def test_adapted_rule_matches_uniform_rule(e, s, monkeypatch):
+    # panels laid by the equilibrium density give the uniform rule's tables;
+    # from n = 1280 on they take fewer nodes for every e (at e = 6, n = 640
+    # the uniform rule is the smaller)
+    pot = make_eynard(e)[0]
+    for n in (1280, 2560):
+        t = make_scaling(pot, n, s).t
+        table = build_recurrence(pot, n, t, n)
+        with monkeypatch.context() as m:
+            m.setattr(orthopoly, "_density_edges", lambda *args: None)
+            uniform = build_recurrence(pot, n, t, n)
+        assert uniform.rule.nodes.size == _uniform_size(pot, uniform.rule, n)
+        assert table.rule.nodes.size < uniform.rule.nodes.size
+        _assert_tables_agree(uniform, table, 1e-12)
+
+
+@pytest.mark.parametrize("t", [0.7, 1.2])
+def test_uniform_rule_outside_scaling_regime(eynard3_pot, t):
+    # rho_1 fits n |t - 1| <= 16 log n; farther out the panels are uniform
+    n = 2560
+    rule = quadrature_support(eynard3_pot, n, t)
+    assert np.array_equal(rule.edges, np.linspace(rule.lo, rule.hi, rule.edges.size))
+    assert rule.nodes.size == _uniform_size(eynard3_pot, rule, n)
 
 
 def test_table_size_bound(quadratic):
@@ -304,20 +392,18 @@ def test_table_size_bound(quadratic):
 
 
 def test_gauss_legendre_rule_cached(eynard3_pot):
-    # panels of 63 leggauss nodes, uniform over the window, as many as the
-    # window-sized node count needs (at the 2000-node floor, the former
-    # 32 x 63 rule); the panel rule is a read-only module constant
-    eq = unit_equilibrium(eynard3_pot)
+    # panels of 63 leggauss nodes; at n = 40 the 2000-node floor rules and
+    # the panels are uniform over the window, the former 32 x 63 rule; at
+    # n = 2560 the density-adapted panels take at most 0.66 of the uniform
+    # count; the panel rule is a read-only module constant
+    rule = quadrature_support(eynard3_pot, 40, 1.0)
+    assert _uniform_size(eynard3_pot, rule, 40) == 32 * 63
+    _assert_composite(rule, np.linspace(rule.lo, rule.hi, 33))
+    rule = quadrature_support(eynard3_pot, 2560, 1.0)
+    assert np.all(np.diff(rule.edges) > 0) and rule.nodes.size == 63 * (rule.edges.size - 1)
+    assert rule.weights.sum() == pytest.approx(rule.hi - rule.lo, rel=1e-13)
+    assert rule.nodes.size <= 0.66 * _uniform_size(eynard3_pot, rule, 2560)
     xs, ws = leggauss(63)
-    for n, panels in ((40, 32), (320, 56)):
-        rule = quadrature_support(eynard3_pot, n, 1.0)
-        count = max(2000, int(np.ceil(5 * n * (rule.hi - rule.lo) / (eq.b - eq.a))))
-        assert -(-count // 63) == panels
-        edges = np.linspace(rule.lo, rule.hi, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        assert np.array_equal(rule.nodes, (mids[:, None] + half[:, None] * xs).ravel())
-        assert np.array_equal(rule.weights, (half[:, None] * ws).ravel())
     assert np.array_equal(_GL[0], xs) and np.array_equal(_GL[1], ws)
     assert not _GL[0].flags.writeable and not _GL[1].flags.writeable
 

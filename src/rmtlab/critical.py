@@ -37,10 +37,9 @@ class ScalingParams:
     the s <-> t conversion.
 
     x_star_nt, the reduced-mass diagnostic, is computed when it is first
-    read (json_dict and rescaled_kernel(center_nt=True) read it) and kept
-    on the bundle. It is find_xstar_nt's point, or x* with a warning when
-    find_xstar_nt raises NoConvergenceError; the warning comes then, not
-    from make_scaling.
+    read (json_dict reads it) and kept on the bundle. It is find_xstar_nt's
+    point, or x* with a warning when find_xstar_nt raises
+    NoConvergenceError; the warning comes then, not from make_scaling.
     """
 
     n: int
@@ -230,11 +229,18 @@ def make_scaling(potential: Potential, n: int, s: float) -> ScalingParams:
 
     After the first call for a potential this is arithmetic: x*, J and c
     are cached per potential, and x_star_nt waits until it is read.
+    Raises InvalidParameterError unless |s| <= 8, n >= 2 and t > 0, and
+    the geometry's typed error when V has no valid gap-closing point.
     """
     if not abs(s) <= _MAX_ABS_S:  # NaN fails this too
         raise InvalidParameterError(f"|s| <= {_MAX_ABS_S} required, got {s}")
     x_star, J, c = _geometry(potential)
     t = s_to_t(s, n, J)
+    if not t > 0:
+        raise InvalidParameterError(
+            f"s = {s} is too negative at n = {n}: t = 1 + s log(n) / (2 n J) must be "
+            f"positive, so s must exceed {-2.0 * n * J / np.log(n):.6g}"
+        )
     m = max(s / n, 0.0)
     nu = n * m
     k = int(np.floor(nu + 0.5))

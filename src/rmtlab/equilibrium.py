@@ -25,10 +25,9 @@ error.
 Logarithmic potentials are evaluated through the finite Chebyshev
 expansion of G(y) = (b-y)(y-a) h(y): against the arcsine measure of
 [a, b] the log kernel acts diagonally on Chebyshev polynomials, which
-turns int log|x-y| dmu(y) into a short exact sum for every real x and
-analogously int log(z-y) dmu(y) for complex z. The effective potential
-phi beyond b is half the variational residual there, so it comes from
-the same exact sum.
+turns int log|x-y| dmu(y) into a short exact sum for every real x. The
+effective potential phi beyond b is half the variational residual there,
+so it comes from the same exact sum.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import (
-    BranchCutError,
     InvalidParameterError,
     NoConvergenceError,
     NotOneCutRegularError,
@@ -168,13 +166,6 @@ def _step_length(
             if np.linalg.norm(np.array([f1[i], f2[i]])) < norm0:
                 return lams[valid[i]]
     return _LAST_STEP
-
-
-def moment_residuals(potential: Potential, t: float, a: float, b: float, mass: float):
-    """Residuals of the two endpoint conditions at (a, b)."""
-    dv1 = potential.deriv_coeffs(1) / t
-    f1, f2 = _residuals(dv1, np.array([a]), np.array([b]), mass)
-    return f1[0], f2[0]
 
 
 def _h_from_expansion(dv1: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -392,19 +383,3 @@ def phi(eq: EquilibriumData, x: float) -> float:
     if x <= eq.b:
         return 0.0
     return 0.5 * float(variational_residual(eq, x))
-
-
-def g_function(eq: EquilibriumData, point_mass: float, x_star_nt: float, z) -> complex:
-    """g(z) = int log(z-y) dmu(y) + point_mass * log(z - x_star_nt).
-
-    Principal branches throughout; defined off the cut (-inf, x_star_nt].
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= x_star_nt:
-        raise BranchCutError(f"g is defined off (-inf, {x_star_nt}], got z = {z}")
-    c = np.asarray(eq.cheb)
-    k = np.arange(1, len(c))
-    zb = (z - eq.midpoint) / eq.radius
-    w = zb + np.sqrt(zb - 1.0 + 0j) * np.sqrt(zb + 1.0 + 0j)
-    glog = c[0] * (np.log(eq.radius) + np.log(w / 2.0)) - np.sum(c[1:] / (k * w**k))
-    return complex(glog + point_mass * np.log(z - x_star_nt))

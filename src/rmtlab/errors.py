@@ -31,10 +31,6 @@ class NumericalBreakdownError(RmtlabError):
     kind = "numerical-breakdown"
 
 
-class BranchCutError(RmtlabError):
-    kind = "branch-error"
-
-
 class OffAxisRequiredError(RmtlabError):
     kind = "off-axis-required"
 

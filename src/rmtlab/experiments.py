@@ -71,17 +71,12 @@ def rescaled_kernel(
     n: int,
     s: float,
     grid: GridSpec,
-    center_nt: bool = False,
 ) -> np.ndarray:
-    """(cn)^{-1/2} K_{n,t}(x* + u (cn)^{-1/2}, x* + v (cn)^{-1/2}) on the grid.
-
-    The rescaling center is the fixed gap-closing point x*; center_nt
-    switches to the n,t-dependent point for diagnostics.
-    """
+    """(cn)^{-1/2} K_{n,t}(x* + u (cn)^{-1/2}, x* + v (cn)^{-1/2}) on the grid,
+    centred at the fixed gap-closing point x*."""
     params = critical.make_scaling(potential, n, s)
-    center = params.x_star_nt if center_nt else params.x_star
     scale = np.sqrt(params.c * n)
-    pts = center + grid.points() / scale
+    pts = params.x_star + grid.points() / scale
     table = recurrence_for(potential, n, params.t)
     return orthopoly.kernel_matrix(table, pts) / scale
 

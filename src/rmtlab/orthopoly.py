@@ -86,7 +86,8 @@ _FOLD = _RENORM / _GROWTH  # a fold check folds mantissas above this
 _BLOCK = 2**18  # values per block of the evaluation sweep
 _NEGLIGIBLE = 1e-34  # a node weight the Stieltjes sums may drop
 _EDGE_TOL = 1e-30
-_WIDENINGS = 4  # builds per table, shared by window widening and node doubling
+_WIDENINGS = 4  # window widenings per table
+_SPLITS = 3  # panel splits per table
 _DIAG_SWITCH = 1e-8
 
 
@@ -140,30 +141,21 @@ def _log_weight_half(x, vt: np.ndarray, n: int, vt_min: float):
 
 
 @lru_cache(maxsize=128)
-def _log_potential_samples(potential: Potential, doubling: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points x of one bracket of the window search and 2 U_1(x) there.
+def _log_potential_samples(potential: Potential, doubling: int) -> tuple[np.ndarray, ...]:
+    """The points x of one bracket of the window search, 2 U_1(x) and rho_1(x).
 
     The bracket is the unit band's midpoint plus or minus its radius times
-    2**doubling, sampled at _SAMPLES points; U_1 is the log potential of the
-    unit equilibrium measure. Computed once per potential and doubling, and
-    read-only.
+    2**doubling, sampled at _SAMPLES points; U_1 is the log potential and
+    rho_1 the density of the unit equilibrium measure. Computed once per
+    potential and doubling, and read-only.
     """
     eq = critical.unit_equilibrium(potential)
     reach = eq.radius * 2.0**doubling
     x = np.linspace(eq.midpoint - reach, eq.midpoint + reach, _SAMPLES)
-    two_u = 2.0 * equilibrium.log_potential(eq, x)
-    x.flags.writeable = False
-    two_u.flags.writeable = False
-    return x, two_u
-
-
-@lru_cache(maxsize=128)
-def _density_samples(potential: Potential, doubling: int) -> np.ndarray:
-    """rho_1, the unit equilibrium density, at _log_potential_samples' points; read-only."""
-    x = _log_potential_samples(potential, doubling)[0]
-    rho = equilibrium.density(critical.unit_equilibrium(potential), x)
-    rho.flags.writeable = False
-    return rho
+    samples = (x, 2.0 * equilibrium.log_potential(eq, x), equilibrium.density(eq, x))
+    for arr in samples:
+        arr.flags.writeable = False
+    return samples
 
 
 def _check_nt(n, t) -> None:
@@ -230,7 +222,7 @@ def quadrature_support(
     except (NoSingularPointError, WrongOrderError):
         x_star, width = -np.inf, eq.b - eq.a
     for doubling in range(1, _MAX_DOUBLINGS + 1):
-        x, two_u = _log_potential_samples(potential, doubling)
+        x, two_u, _ = _log_potential_samples(potential, doubling)
         excess = n * (npoly.polyval(x, vt) - two_u + eq.ell)
         top = level + max(float(excess.min()), 0.0)
         if excess[0] > top and excess[-1] > top and x[-1] > x_star:
@@ -274,8 +266,7 @@ def _density_edges(
     g_off = _ORDER / (_NODES_PER_ZERO * width * math.sqrt(n))
     if _NODES_PER_ZERO * n * g_off * (hi - lo) >= most * _ORDER:
         return None
-    x = _log_potential_samples(potential, doubling)[0]
-    rho = _density_samples(potential, doubling)
+    x, _, rho = _log_potential_samples(potential, doubling)
     first, last = np.searchsorted(x, lo, "right"), np.searchsorted(x, hi, "left")
     pts = np.concatenate(([lo], x[first:last], [hi]))
     g = np.concatenate((np.interp([lo], x, rho), rho[first:last], np.interp([hi], x, rho)))
@@ -308,17 +299,21 @@ def build_recurrence(
 
     Discretized Stieltjes procedure (Gautschi 1982) on the rule of
     quadrature_support, in O(M N) time and O(M) memory for M nodes. Two
-    checks guard each table, and they share four attempts:
+    checks guard each table, and each has a budget of its own:
 
     - If p_N or p_{N-1} still carries weight at an end of the window (t far
       from 1, where the t = 1 effective potential misjudges the window),
-      the window level doubles and the wider window sizes its rule afresh.
+      the window level doubles and the wider window sizes its rule afresh,
+      at most four times.
     - If the table misses the string equations (string_residual: the
       diagonal residual above 1e-12 n or the off-diagonal one above 1e-12),
       the rule was too coarse, and the build repeats on the same window
-      with every panel of the rule split in two at its midpoint.
+      with every panel of the rule split in two at its midpoint, at most
+      three times.
 
-    Raises PrecisionLimitError when the attempts run out,
+    So a table takes at most eight builds, the largest on at most eight
+    times the nodes of quadrature_support's rule at 16 times the default
+    level. Raises PrecisionLimitError when either budget runs out,
     InvalidParameterError unless n >= 1, t is positive and finite and
     0 <= N <= 1.2 n + 10, and the unit solve's typed error when V has no
     one-cut regular unit measure.
@@ -328,13 +323,18 @@ def build_recurrence(
         raise InvalidParameterError(f"N = {N} outside 0..1.2 n + 10 for n = {n}")
     vt = np.asarray(potential.coeffs) / t
     level, rule = _LEVEL, None
-    for _ in range(_WIDENINGS):
+    widenings = splits = 0
+    while True:
         if rule is None:
             rule = quadrature_support(potential, n, t, level=level)
         log_half = _log_weight_half(rule.nodes, vt, n, rule.vt_min)
         alpha, beta, log_gamma0, edge = _stieltjes(rule, log_half, N)
         if edge > _EDGE_TOL:
-            failure = f"degree-{N} polynomials still carry weight {edge:.1e} at the window ends"
+            if widenings == _WIDENINGS:
+                raise PrecisionLimitError(
+                    f"degree-{N} polynomials still carry weight {edge:.1e} at the window ends"
+                )
+            widenings += 1
             level *= 2.0
             rule = None
             continue
@@ -351,15 +351,16 @@ def build_recurrence(
         diag, off = string_residual(table)
         if diag <= _STRING_TOL * n and off <= _STRING_TOL:
             return table
-        failure = (
-            f"the table on {rule.nodes.size} nodes misses the string equations "
-            f"by {diag:.1e} (diagonal) and {off:.1e} (off-diagonal)"
-        )
+        if splits == _SPLITS:
+            raise PrecisionLimitError(
+                f"the table on {rule.nodes.size} nodes misses the string equations "
+                f"by {diag:.1e} (diagonal) and {off:.1e} (off-diagonal)"
+            )
+        splits += 1
         split = np.empty(2 * rule.edges.size - 1)
         split[::2] = rule.edges
         split[1::2] = 0.5 * (rule.edges[:-1] + rule.edges[1:])
         rule = _panel_rule(split, rule.vt_min)
-    raise PrecisionLimitError(failure)
 
 
 def string_residual(table: RecurrenceTable) -> tuple[float, float]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,6 +94,9 @@ def make_eynard(e: float) -> tuple[Potential, float]:
     with ee chosen so that the signed area int_2^e (x-e)(x-ee) sqrt(x^2-4) dx
     vanishes. The defining integral is linear in ee, so ee = I2/I1 with
     I1 = int (x-e) sqrt(x^2-4), I2 = int x(x-e) sqrt(x^2-4) over [2, e].
+    Raises InvalidParameterError unless 2 < e < inf and the computed ee lies
+    strictly inside (2, e): the moments cancel from e - 2 = 1e-7 down and
+    overflow from e = 1e78 up.
     """
     if not 2.0 < e < np.inf:
         raise InvalidParameterError(f"e must be finite and exceed 2, got {e}")
@@ -103,12 +105,10 @@ def make_eynard(e: float) -> tuple[Potential, float]:
     a2 = _edge_moment(e, 2)
     i1 = a1 - e * a0
     i2 = a2 - e * a1
-    ee = i2 / i1
-    if not (2.0 < ee < e):
-        warnings.warn(
-            f"intermediate zero ee={ee} fell outside (2, e={e}); "
-            "gap structure may differ from the one-interval picture",
-            stacklevel=2,
+    ee = i2 / i1 if i1 else np.nan
+    if not 2.0 < ee < e:  # NaN fails this too
+        raise InvalidParameterError(
+            f"e = {e} puts the computed intermediate zero ee = {ee} outside (2, e)"
         )
     pref = 1.0 / (1.0 + e * ee)
     coeffs = (

@@ -121,6 +121,16 @@ def test_count_nonpositive_t_is_invalid(eynard_config):
     assert json.loads(cp.stderr)["kind"] == "invalid-parameter"
 
 
+def test_count_refusal_names_the_given_s(eynard_config):
+    # the message names the s and n the user gave, not the t they map to
+    cp = run_cli("count", "--potential", eynard_config, "--n", "3", "--s", "-8")
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    err = json.loads(cp.stderr)
+    assert err["kind"] == "invalid-parameter"
+    assert err["error"].startswith("s = -8.0 is too negative at n = 3")
+
+
 def test_lambda_fit_command(eynard_config):
     cp = run_cli(
         "lambda-fit", "--potential", eynard_config, "--n", "80", "--s", "1.2",
@@ -308,8 +318,9 @@ def test_negative_k_is_invalid(args, eynard_config):
         ('{"type": "eynard", "e": null}', "e: None is not a number"),
         ('{"type": "eynard", "e": NaN}', "e must be finite"),
         ('{"type": "poly", "coeffs": [0, 0, Infinity]}', "coefficients must be finite"),
+        ('{"type": "eynard", "e": 2.000000000000001}', "e = 2.000000000000001 puts"),
     ],
-    ids=["not-json", "not-object", "coeffs", "e-null", "e-nan", "coeffs-inf"],
+    ids=["not-json", "not-object", "coeffs", "e-null", "e-nan", "coeffs-inf", "e-near-2"],
 )
 def test_bad_config_is_invalid(tmp_path, content, message):
     path = tmp_path / "bad.json"

@@ -265,15 +265,37 @@ _TOTALITY_N = [2, 3, 5, 17, 40, 119, 160, 240, 300, 641, 1280, 3200]
 _TOTALITY_S = [-8.0, -2.5, -0.3, 0.0, 0.4, 1.0, 1.5, 2.7, 5.0, 8.0]
 
 
+# the (n, s) whose t = 1 + s log(n) / (2 n J) is not positive
+_NONPOSITIVE_T = {3.0: [(2, -8.0), (3, -8.0), (5, -8.0)], 4.0: [(2, -8.0), (3, -8.0)]}
+
+
 @pytest.mark.parametrize("e", [3.0, 4.0])
 def test_make_scaling_total(e):
+    # a finite bundle, or a refusal exactly where t would not be positive
     pot, _ = make_eynard(e)
+    refused = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for n in _TOTALITY_N:
             for s in _TOTALITY_S:
-                d = make_scaling(pot, n, s).json_dict()
+                try:
+                    d = make_scaling(pot, n, s).json_dict()
+                except InvalidParameterError:
+                    refused.append((n, s))
+                    continue
                 assert all(np.isfinite(v) for v in d.values()), (n, s, d)
+    assert refused == _NONPOSITIVE_T[e]
+
+
+@pytest.mark.parametrize(
+    "e, n", [(e, n) for e, pairs in _NONPOSITIVE_T.items() for n, _ in pairs]
+)
+def test_make_scaling_refusal_names_n_and_s(e, n):
+    pot, _ = make_eynard(e)
+    J = scaling_J(-2.0, 2.0, e)
+    assert s_to_t(-8.0, n, J) <= 0.0
+    with pytest.raises(InvalidParameterError, match=f"s = -8.0 is too negative at n = {n}"):
+        make_scaling(pot, n, -8.0)
 
 
 def test_nonstrict_polish_stall_falls_back(eynard3_pot, monkeypatch):

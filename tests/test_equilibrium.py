@@ -5,13 +5,11 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from rmtlab import (
-    BranchCutError,
     NoConvergenceError,
     NotOneCutRegularError,
     Potential,
     RmtlabError,
     density,
-    g_function,
     lagrange_ell,
     log_potential,
     make_eynard,
@@ -26,7 +24,7 @@ from rmtlab.equilibrium import (
     EquilibriumData,
     _h_from_expansion,
     _initial_guess,
-    moment_residuals,
+    _residuals,
 )
 
 from conftest import brute_log_potential
@@ -79,7 +77,8 @@ def test_eynard_endpoints(eynard_eq):
 def test_moment_residuals_small(quadratic, eynard3_pot, mass):
     for pot in (quadratic, eynard3_pot):
         eq = solve(pot, 1.0, mass)
-        r1, r2 = moment_residuals(pot, 1.0, eq.a, eq.b, mass)
+        dv1 = pot.deriv_coeffs(1)  # t = 1
+        (r1,), (r2,) = _residuals(dv1, np.array([eq.a]), np.array([eq.b]), mass)
         assert abs(r1) < 1e-12
         assert abs(r2) < 1e-12
 
@@ -210,31 +209,6 @@ def test_phi_residual_bridge(eynard_eq, x):
     # effective-potential identity: phi = r / 2 beyond the band edge equals
     # the integral that defines phi, through the zeros of h at ee and 3
     assert abs(phi(eynard_eq, x) - phi_quadrature(eynard_eq, x)) < 1e-12
-
-
-def test_g_far_field(semicircle):
-    z = 1e6
-    g = g_function(semicircle, 0.0, semicircle.b, z)
-    assert abs(g - semicircle.mass * np.log(z)) < 1e-5
-
-
-def test_g_matches_log_potential_on_real_axis(semicircle):
-    g = g_function(semicircle, 0.0, semicircle.b, 3.0)
-    assert abs(g.imag) < 1e-12
-    assert abs(g.real - log_potential(semicircle, 3.0)) < 1e-12
-
-
-def test_g_phi_identity_with_point_mass(eynard3_pot):
-    eq = solve(eynard3_pot, 1.0, 0.99)
-    m, x_nt, z = 0.01, 3.0, 4.0
-    lhs = 2.0 * phi(eq, z) + 2.0 * m * np.log(z - x_nt)
-    rhs = 2.0 * g_function(eq, m, x_nt, z).real - eq.vt(z) - eq.ell
-    assert abs(lhs - rhs) < 1e-7
-
-
-def test_g_branch_cut_rejected(semicircle):
-    with pytest.raises(BranchCutError):
-        g_function(semicircle, 0.01, 3.0, 2.5)
 
 
 def test_monotone_deficit(eynard3_pot):

@@ -257,16 +257,6 @@ def test_grid_adequacy(eynard3_pot):
     assert abs(sup_fine - sup_coarse) / sup_coarse < 0.05
 
 
-def test_center_nt_diagnostic_flag(eynard3_pot):
-    # centering at the n,t-dependent point is a diagnostic variant; for
-    # s < 0 both centers coincide, so the grids must match exactly
-    a = rescaled_kernel(eynard3_pot, 40, -0.5, GRID)
-    b = rescaled_kernel(eynard3_pot, 40, -0.5, GRID, center_nt=True)
-    assert np.array_equal(a, b)
-    c = rescaled_kernel(eynard3_pot, 40, 1.0, GRID, center_nt=True)
-    assert np.isfinite(c).all()
-
-
 def test_two_kernel_beats_single(eynard3_pot):
     values = rescaled_kernel(eynard3_pot, 160, 1.5, GRID)
     fit = lambda_fit(values, GRID, 1)

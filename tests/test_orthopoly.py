@@ -20,7 +20,7 @@ from rmtlab import (
 )
 from rmtlab import make_eynard, orthopoly
 from rmtlab.critical import detect_singular, unit_equilibrium
-from rmtlab.equilibrium import log_potential
+from rmtlab.equilibrium import density, log_potential
 from rmtlab.experiments import recurrence_for
 from rmtlab.orthopoly import (
     _GL,
@@ -432,9 +432,10 @@ def test_log_potential_samples_cached(eynard3_pot, n):
     t = make_scaling(eynard3_pot, n, 1.0).t
     rule = quadrature_support(eynard3_pot, n, t)
     assert (rule.lo, rule.hi) == _uncached_window(eynard3_pot, n, t)
-    x, two_u = _log_potential_samples(eynard3_pot, 1)
-    assert not x.flags.writeable and not two_u.flags.writeable
+    x, two_u, rho = _log_potential_samples(eynard3_pot, 1)
+    assert not (x.flags.writeable or two_u.flags.writeable or rho.flags.writeable)
     assert _log_potential_samples(eynard3_pot, 1)[1] is two_u
+    assert np.array_equal(rho, density(unit_equilibrium(eynard3_pot), x))
 
 
 @pytest.mark.parametrize("n", [160, 800, 2560])
@@ -486,12 +487,34 @@ def test_coarse_rule_refined(eynard3_pot, monkeypatch):
 
 
 def test_coarse_rule_out_of_attempts(eynard3_pot, monkeypatch):
+    # the coarse rule needs two splits (test_coarse_rule_refined)
     n = 640
     t = make_scaling(eynard3_pot, n, 1.0).t
     monkeypatch.setattr(orthopoly, "_NODES_PER_BAND", 2)
-    monkeypatch.setattr(orthopoly, "_WIDENINGS", 1)
+    monkeypatch.setattr(orthopoly, "_SPLITS", 1)
     with pytest.raises(PrecisionLimitError, match="string equations"):
         build_recurrence(eynard3_pot, n, t, n)
+
+
+def test_widenings_and_splits_have_budgets_of_their_own(quadratic):
+    # V = x^2 at t = 0.1 widens its window three times, to 5292 nodes, then
+    # splits its rule once; one shared budget of four builds ran out
+    n, t = 2560, 0.1
+    table = build_recurrence(quadratic, n, t, n)
+    assert table.rule.nodes.size == 10584
+    j = np.arange(n + 1)
+    assert np.max(np.abs(table.beta - j * t / (2.0 * n))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "budget, size, message",
+    [("_WIDENINGS", 2, "carry weight"), ("_SPLITS", 0, "misses the string equations")],
+)
+def test_each_budget_runs_out_alone(quadratic, monkeypatch, budget, size, message):
+    # the same build as above with one remedy's budget cut below its need
+    monkeypatch.setattr(orthopoly, budget, size)
+    with pytest.raises(PrecisionLimitError, match=message):
+        build_recurrence(quadratic, 2560, 0.1, 2560)
 
 
 def test_string_residual_short_table(quadratic, eynard3_pot):

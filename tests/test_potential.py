@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -96,6 +98,12 @@ def test_eynard_rejects_small_e():
     for e in (2.0, np.nan, np.inf):
         with pytest.raises(InvalidParameterError):
             make_eynard(e)
+    # near 2 the moments cancel: no quotient at 2 + 1e-15 (i1 is zero), and
+    # ee = 1.99999985 at 2 + 1e-8; at 1e100 they overflow to NaN
+    for e in (2.000000000000001, 2.00000001, 1e100):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidParameterError, match=re.escape(f"e = {e} puts")):
+                make_eynard(e)
 
 
 @pytest.mark.parametrize("e", [2.1, 2.5, 3.0, 4.0, 5.0])

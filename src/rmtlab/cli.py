@@ -54,15 +54,9 @@ def _run_eqm(args: argparse.Namespace) -> str:
 
 def _run_detect(args: argparse.Namespace) -> str:
     pot = _load_potential(args.potential)
-    x_star = critical.detect_singular(pot)
+    x_star, J, c = critical._geometry(pot)
     eq = critical.unit_equilibrium(pot)
-    out = {
-        "a": eq.a,
-        "b": eq.b,
-        "c": critical.curvature_c(pot, x_star),
-        "J": critical.scaling_J(eq.a, eq.b, x_star),
-        "x_star": x_star,
-    }
+    out = {"a": eq.a, "b": eq.b, "c": c, "J": J, "x_star": x_star}
     return json_dumps(out) + "\n"
 
 

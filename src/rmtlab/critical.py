@@ -16,6 +16,7 @@ from .errors import (
     InvalidParameterError,
     NoConvergenceError,
     NoSingularPointError,
+    PrecisionLimitError,
     RmtlabError,
     WrongOrderError,
 )
@@ -100,9 +101,16 @@ def _geometry(potential: Potential) -> tuple[float, float, float]:
     h = np.asarray(eq.h_coeffs)
     if len(h) < 2:
         raise NoSingularPointError("h is constant; q has only simple zeros")
+    roots = np.roots(h[::-1])
+    gap = float(np.min(np.abs(roots - eq.b)))
+    error = equilibrium._b_error(eq)
+    if error > 0.1 * gap:
+        raise PrecisionLimitError(
+            f"the unit band edge b = {eq.b:.12g} is known only to about {error:.1e}, "
+            f"more than a tenth of its gap {gap:.1e} to the nearest zero of h"
+        )
     dh = npoly.polyder(h)
     window_hi = eq.b + 10.0 * (eq.b - eq.a)
-    roots = np.roots(h[::-1])
     real = sorted(
         {
             _polish_root(h, dh, r.real)
@@ -142,6 +150,14 @@ def detect_singular(potential: Potential) -> float:
     gap-closing point; it must be a simple zero of h (|h'| >= 1e-8).
     The point, with J and c, is computed once per potential; a potential
     without a valid point raises its typed error on every call.
+
+    The unit solve places b only to within a rounding floor, est(b) of
+    equilibrium._b_error, which grows as the density vanishes faster
+    at b. When est(b) exceeds a tenth of the gap from b to the nearest zero
+    of h, the zeros cannot be told from b and this raises
+    PrecisionLimitError. A returned x* is a zero of h, so b is then known
+    to a tenth of x* - b; on the eynard family, where x* = e, it lies
+    within est(b) of e, and e - 2 from about 5e-5 down is refused.
     """
     return _geometry(potential)[0]
 
@@ -212,7 +228,7 @@ def find_xstar_nt(potential: Potential, t: float, m: float) -> float:
         )
     h = np.asarray(eq.h_coeffs)
     dh = npoly.polyder(h)
-    roots = np.roots(h[::-1]) if len(h) > 1 else np.array([])
+    roots = np.roots(h[::-1])
     real = [r.real for r in roots if abs(r.imag) < 1e-8]
     if not real:
         raise NoConvergenceError(

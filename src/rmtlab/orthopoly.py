@@ -10,17 +10,12 @@ effective potential of the unit equilibrium measure, so it holds the
 gap-closing point x* at every n. The weight is rescaled by exp(+n min V_t)
 internally; the rescaling cancels in every kernel value.
 
-The rule has panels of 63 Gauss-Legendre nodes, laid at equal steps of the
-integral of g = max(rho_1, g_off), with rho_1 the unit equilibrium density:
-about four nodes per zero of p_n on the band, and off it, where nothing
-oscillates, panels one outpost width wide. Where that takes no fewer nodes
-than the uniform rule, 5 n / (b - a) per unit length of the window (small
-n), or t is outside the scaling regime that rho_1 describes, the panels
-are uniform. Too few nodes give a wrong table without any other sign, so
-every table is checked against the Freud string equations (Freud 1976),
-which hold exactly and need no quadrature: string_residual. A table that
-fails them is rebuilt on the same window with every panel of its rule
-split in two at its midpoint.
+The rule has panels of 63 Gauss-Legendre nodes, uniform or laid by the
+unit equilibrium density: quadrature_support states the layout policy.
+Too few nodes give a wrong table without any other sign, so every table
+is checked against the Freud string equations (Freud 1976), which hold
+exactly and need no quadrature: string_residual. build_recurrence rebuilds
+a table that fails them on a finer rule.
 
 Every weighted polynomial value psi_k = p_k exp(-n V_t / 2) this module
 evaluates comes from one vectorized sweep, _recur: the three-term recurrence
@@ -192,22 +187,27 @@ def quadrature_support(
 
     The rule has panels of 63 Gauss-Legendre nodes each, and every panel
     must resolve its share of the oscillations of p_n; fewer nodes would
-    corrupt the table without any other sign. The panel edges sit at equal
-    steps of the integral over the window of g = max(rho_1, g_off), 4 n /
-    63 panels per unit of it and at least 32 panels. rho_1, the unit
-    equilibrium density, gives the band about 4 nodes per zero of p_n; g_off
-    makes an off-band panel one outpost width wide, min(b - a, 1 / sqrt(c))
-    / sqrt(n) with c the curvature at x*, or (b - a) / sqrt(n) when V has no
-    x*. rho_1 is sampled once per potential and bracket, beside U_1. The
-    panels are uniform instead when that takes no fewer of them than the
-    uniform rule, max(2000, 5 n (hi - lo) / (b - a)) nodes spread evenly
-    over the window ([a, b] the unit band, across which a degree-n
-    polynomial oscillates about n times), and when n |t - 1| > 16 log n:
-    rho_1 describes the weight in the scaling regime |t - 1| = O(log n / n),
-    not far from it. Raises
-    InvalidParameterError unless n >= 1 and t is positive and
-    finite, and the typed error of the unit solve when V has no one-cut
-    regular unit measure.
+    corrupt the table without any other sign. The panels follow one of two
+    layouts, the one that takes fewer of them (uniform on a tie):
+
+    - uniform: max(2000, 5 n (hi - lo) / (b - a)) nodes spread evenly over
+      the window, [a, b] the unit band, across which a degree-n polynomial
+      oscillates about n times;
+    - density-adapted: edges at equal steps of the integral over the window
+      of g = max(rho_1, g_off), 4 n / 63 panels per unit of it and at least
+      32. rho_1, the unit equilibrium density, gives the band about 4 nodes
+      per zero of p_n; g_off makes an off-band panel one outpost width
+      wide, min(b - a, 1 / sqrt(c)) / sqrt(n) with c the curvature at x*,
+      or (b - a) / sqrt(n) when V has no x* that detect_singular can give.
+      The integral is the trapezoid sum on the bracket's samples of rho_1,
+      taken beside those of U_1. g_off (hi - lo) bounds it below, and the
+      sum is skipped when that bound already loses to the uniform layout.
+
+    The adapted layout is tried only when n |t - 1| <= 16 log n: rho_1
+    describes the weight in the scaling regime |t - 1| = O(log n / n), not
+    far from it. Raises InvalidParameterError unless n >= 1 and t is
+    positive and finite, and the typed error of the unit solve when V has
+    no one-cut regular unit measure.
     """
     _check_nt(n, t)
     vt = np.asarray(potential.coeffs) / t
@@ -219,10 +219,10 @@ def quadrature_support(
     try:
         x_star, _, c = critical._geometry(potential)
         width = min(eq.b - eq.a, 1.0 / math.sqrt(c))  # outpost width times sqrt(n)
-    except (NoSingularPointError, WrongOrderError):
+    except (NoSingularPointError, PrecisionLimitError, WrongOrderError):
         x_star, width = -np.inf, eq.b - eq.a
     for doubling in range(1, _MAX_DOUBLINGS + 1):
-        x, two_u, _ = _log_potential_samples(potential, doubling)
+        x, two_u, rho = _log_potential_samples(potential, doubling)
         excess = n * (npoly.polyval(x, vt) - two_u + eq.ell)
         top = level + max(float(excess.min()), 0.0)
         if excess[0] > top and excess[-1] > top and x[-1] > x_star:
@@ -235,48 +235,23 @@ def quadrature_support(
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     total = max(_MIN_NODES, int(np.ceil(_NODES_PER_BAND * n * (hi - lo) / (eq.b - eq.a))))
-    uniform = -(-total // _ORDER)
-    edges = _density_edges(potential, doubling, n, t, lo, hi, width, uniform)
-    if edges is None:
-        edges = np.linspace(lo, hi, uniform + 1)
-    return _panel_rule(edges, vt_min)
-
-
-def _density_edges(
-    potential: Potential,
-    doubling: int,
-    n: int,
-    t: float,
-    lo: float,
-    hi: float,
-    width: float,
-    most: int,
-) -> np.ndarray | None:
-    """Panel edges on [lo, hi] at equal steps of the integral of
-    g = max(rho_1, g_off), _NODES_PER_ZERO n / _ORDER panels per unit of it,
-    or None when that takes at least `most` panels or t is outside the
-    scaling regime n |t - 1| <= _REGIME log n.
-
-    g_off makes an off-band panel width / sqrt(n) wide. The integral is the
-    trapezoid sum on the bracket's samples of rho_1, and g_off bounds it
-    below before any sample is read.
-    """
-    if n * abs(t - 1.0) > _REGIME * math.log(n):
-        return None
+    panels = -(-total // _ORDER)
+    edges = np.linspace(lo, hi, panels + 1)
     g_off = _ORDER / (_NODES_PER_ZERO * width * math.sqrt(n))
-    if _NODES_PER_ZERO * n * g_off * (hi - lo) >= most * _ORDER:
-        return None
-    x, _, rho = _log_potential_samples(potential, doubling)
-    first, last = np.searchsorted(x, lo, "right"), np.searchsorted(x, hi, "left")
-    pts = np.concatenate(([lo], x[first:last], [hi]))
-    g = np.concatenate((np.interp([lo], x, rho), rho[first:last], np.interp([hi], x, rho)))
-    np.maximum(g, g_off, out=g)
-    G = np.zeros_like(pts)
-    np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(pts), out=G[1:])
-    panels = max(-(-_MIN_NODES // _ORDER), math.ceil(_NODES_PER_ZERO * n * G[-1] / _ORDER))
-    if panels >= most:
-        return None
-    return np.interp(np.linspace(0.0, G[-1], panels + 1), G, pts)
+    if (
+        n * abs(t - 1.0) <= _REGIME * math.log(n)
+        and _NODES_PER_ZERO * n * g_off * (hi - lo) < panels * _ORDER
+    ):
+        first, last = np.searchsorted(x, lo, "right"), np.searchsorted(x, hi, "left")
+        pts = np.concatenate(([lo], x[first:last], [hi]))
+        g = np.concatenate((np.interp([lo], x, rho), rho[first:last], np.interp([hi], x, rho)))
+        np.maximum(g, g_off, out=g)
+        G = np.zeros_like(pts)
+        np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(pts), out=G[1:])
+        adapted = max(-(-_MIN_NODES // _ORDER), math.ceil(_NODES_PER_ZERO * n * G[-1] / _ORDER))
+        if adapted < panels:
+            edges = np.interp(np.linspace(0.0, G[-1], adapted + 1), G, pts)
+    return _panel_rule(edges, vt_min)
 
 
 def _panel_rule(edges: np.ndarray, vt_min: float) -> QuadratureRule:
@@ -322,11 +297,10 @@ def build_recurrence(
     if not 0 <= N <= 1.2 * n + 10:
         raise InvalidParameterError(f"N = {N} outside 0..1.2 n + 10 for n = {n}")
     vt = np.asarray(potential.coeffs) / t
-    level, rule = _LEVEL, None
+    level = _LEVEL
+    rule = quadrature_support(potential, n, t, level=level)
     widenings = splits = 0
     while True:
-        if rule is None:
-            rule = quadrature_support(potential, n, t, level=level)
         log_half = _log_weight_half(rule.nodes, vt, n, rule.vt_min)
         alpha, beta, log_gamma0, edge = _stieltjes(rule, log_half, N)
         if edge > _EDGE_TOL:
@@ -336,7 +310,7 @@ def build_recurrence(
                 )
             widenings += 1
             level *= 2.0
-            rule = None
+            rule = quadrature_support(potential, n, t, level=level)
             continue
         table = RecurrenceTable(
             potential=potential,

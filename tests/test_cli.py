@@ -53,6 +53,18 @@ def test_detect_quadratic_fails_cleanly(quadratic_config):
     assert cp.stderr.count("\n") == 1
 
 
+def test_detect_near_two_is_a_precision_limit(tmp_path):
+    # the unit band edge is not known well enough to tell x* from b
+    cfg = tmp_path / "near.json"
+    cfg.write_text('{"type": "eynard", "e": 2.00001}')
+    cp = run_cli("detect", "--potential", str(cfg))
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    err = json.loads(cp.stderr)
+    assert err["kind"] == "precision-limit"
+    assert "the unit band edge b = " in err["error"]
+
+
 def test_eqm_semicircle(quadratic_config):
     cp = run_cli("eqm", "--potential", quadratic_config, "--mass", "1.0")
     assert cp.returncode == 0, cp.stderr

@@ -7,10 +7,12 @@ from numpy.polynomial import polynomial as npoly
 
 from rmtlab import (
     critical,
+    equilibrium,
     InvalidParameterError,
     NoConvergenceError,
     NoSingularPointError,
     Potential,
+    PrecisionLimitError,
     curvature_c,
     detect_singular,
     find_xstar_nt,
@@ -68,6 +70,38 @@ def test_band_edge_pinned_near_birth():
     pot, _ = make_eynard(2.002)
     assert abs(unit_equilibrium(pot).b - 2.0) <= 1e-9
     assert abs(detect_singular(pot) - 2.002) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [1.0, 5e-2, 1e-2, 1e-3, 1e-4])
+def test_detect_within_the_edge_floor(d):
+    # the floor estimate bounds the error of b; a returned x* has b known to
+    # a tenth of x* - b, and lies within the floor of e
+    pot, _ = make_eynard(2.0 + d)
+    eq = unit_equilibrium(pot)
+    floor = equilibrium._b_error(eq)
+    assert abs(eq.b - 2.0) <= floor
+    x_star = detect_singular(pot)
+    assert floor <= 0.1 * (x_star - eq.b)
+    assert abs(x_star - (2.0 + d)) <= floor
+
+
+@pytest.mark.parametrize("d", [3e-5, 1e-5, 3e-6, 1e-6, 3e-7])
+def test_detect_refuses_below_the_edge_floor(d):
+    # b is known no better than a tenth of its gap to the nearest zero of h:
+    # a typed refusal naming b, the floor and the gap, where detect gave a
+    # wrong x* (3e-5) or no-singular-point
+    pot, _ = make_eynard(2.0 + d)
+    eq = unit_equilibrium(pot)
+    floor = equilibrium._b_error(eq)
+    assert abs(eq.b - 2.0) <= floor
+    gap = np.min(np.abs(np.roots(np.asarray(eq.h_coeffs)[::-1]) - eq.b))
+    assert floor > 0.1 * gap
+    with pytest.raises(PrecisionLimitError) as info:
+        detect_singular(pot)
+    assert f"b = {eq.b:.12g}" in str(info.value)
+    assert f"{floor:.1e}" in str(info.value) and f"gap {gap:.1e}" in str(info.value)
+    with pytest.raises(PrecisionLimitError):
+        make_scaling(pot, 160, 1.0)
 
 
 def test_curvature_cross_check(eynard3_pot):

@@ -370,7 +370,7 @@ def test_adapted_rule_matches_uniform_rule(e, s, monkeypatch):
         t = make_scaling(pot, n, s).t
         table = build_recurrence(pot, n, t, n)
         with monkeypatch.context() as m:
-            m.setattr(orthopoly, "_density_edges", lambda *args: None)
+            m.setattr(orthopoly, "_REGIME", -1.0)  # no n passes the regime gate
             uniform = build_recurrence(pot, n, t, n)
         assert uniform.rule.nodes.size == _uniform_size(pot, uniform.rule, n)
         assert table.rule.nodes.size < uniform.rule.nodes.size
@@ -384,6 +384,46 @@ def test_uniform_rule_outside_scaling_regime(eynard3_pot, t):
     rule = quadrature_support(eynard3_pot, n, t)
     assert np.array_equal(rule.edges, np.linspace(rule.lo, rule.hi, rule.edges.size))
     assert rule.nodes.size == _uniform_size(eynard3_pot, rule, n)
+
+
+@pytest.mark.parametrize(
+    "e, n, panels, adapted",
+    [
+        (3.0, 160, 32, False),
+        (3.0, 180, 34, False),
+        (3.0, 200, 38, False),
+        (3.0, 240, 43, True),
+        (3.0, 320, 50, True),
+        (4.0, 320, 63, False),
+        (4.0, 420, 80, False),
+        (4.0, 640, 101, True),
+        (6.0, 640, 143, False),
+    ],
+)
+def test_layout_at_its_crossover(e, n, panels, adapted):
+    # at s = 1 the layout that takes fewer panels wins: the adapted one
+    # from n of about 230 at e = 3, 440 at e = 4 and 710 at e = 6. The
+    # g_off bound alone keeps the uniform layout at e = 3, n = 160 and 180;
+    # at n = 200 (e = 3) and 420 (e = 4) the trapezoid sum decides
+    pot = make_eynard(e)[0]
+    rule = quadrature_support(pot, n, make_scaling(pot, n, 1.0).t)
+    assert rule.edges.size - 1 == panels
+    even = np.array_equal(rule.edges, np.linspace(rule.lo, rule.hi, panels + 1))
+    assert even is not adapted
+    if adapted:
+        assert panels < _uniform_size(pot, rule, n) // 63
+
+
+def test_rule_when_x_star_is_refused():
+    # near e = 2 the geometry refuses x*; the rule is then laid as for a
+    # potential without one, and the table passes the string equations
+    pot = make_eynard(2.00001)[0]
+    with pytest.raises(PrecisionLimitError):
+        detect_singular(pot)
+    rule = quadrature_support(pot, 1280, 1.0)
+    assert rule.nodes.size < _uniform_size(pot, rule, 1280)
+    table = build_recurrence(pot, 1280, 1.0, 1280)
+    assert table.rule.nodes.size == rule.nodes.size
 
 
 def test_table_size_bound(quadratic):

@@ -159,11 +159,13 @@ def expected_count(
     """
     if delta is not None and not np.isfinite(delta):
         raise InvalidParameterError(f"delta must be finite, got {delta}")
+    if delta is not None and delta <= 0:
+        raise InvalidParameterError(f"delta must be positive, got {delta}")
     params = critical.make_scaling(potential, n, s)
     eq = critical.unit_equilibrium(potential)
     if delta is None:
         delta = count_delta(params)
-    if delta <= 0 or params.x_star - delta <= eq.b:
+    if params.x_star - delta <= eq.b:
         raise InvalidParameterError(
             f"window half-width {delta} overlaps the band [a, b]"
         )

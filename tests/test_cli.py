@@ -1,9 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from rmtlab import make_eynard
 
 
 def run_cli(*args):
@@ -34,13 +37,25 @@ def test_unknown_flag_exits_2(eynard_config):
     assert cp.returncode == 2
 
 
-def test_detect_eynard(eynard_config):
-    cp = run_cli("detect", "--potential", eynard_config)
+@pytest.mark.parametrize(
+    "e, j_tol, c_tol", [(3.0, 1e-14, 1e-12), (2.05, 1e-10, 1e-9)], ids=["3.0", "2.05"]
+)
+def test_detect_eynard(tmp_path, e, j_tol, c_tol):
+    # x* = e, J = arccosh(e/2) and c = sqrt(e^2 - 4) |e - ee| / (2 (1 + e ee));
+    # at e = 2.05 the intermediate zero ee lies within 1e-6 of phi = 0, and the
+    # band edge's 1e-12 error costs J and c digits
+    cfg = tmp_path / "eynard.json"
+    cfg.write_text(json.dumps({"type": "eynard", "e": e}))
+    cp = run_cli("detect", "--potential", str(cfg))
     assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
     out = json.loads(cp.stdout)
-    assert abs(out["x_star"] - 3.0) < 1e-6
-    assert abs(out["J"] - 0.9624236501192069) < 1e-7
-    assert out["c"] > 0
+    ee = make_eynard(e)[1]
+    j = math.acosh(e / 2.0)
+    c = math.sqrt(e * e - 4.0) * abs(e - ee) / (2.0 * (1.0 + e * ee))
+    assert abs(out["x_star"] - e) < 1e-10
+    assert abs(out["J"] - j) <= j_tol * j
+    assert abs(out["c"] - c) <= c_tol * c
     assert list(out) == sorted(out)
 
 
@@ -65,12 +80,24 @@ def test_detect_near_two_is_a_precision_limit(tmp_path):
     assert "the unit band edge b = " in err["error"]
 
 
-def test_eqm_semicircle(quadratic_config):
-    cp = run_cli("eqm", "--potential", quadratic_config, "--mass", "1.0")
+@pytest.mark.parametrize("t, mass", [(1.0, 1.0), (2.0, 0.5)])
+def test_eqm_semicircle(quadratic_config, t, mass):
+    # V = x^2 fills [-sqrt(2 t mass), sqrt(2 t mass)] with h = 1/t
+    cp = run_cli("eqm", "--potential", quadratic_config, "--t", str(t), "--mass", str(mass))
     assert cp.returncode == 0, cp.stderr
     out = json.loads(cp.stdout)
-    assert abs(out["a"] + 1.4142136) < 1e-6
-    assert out["h_coeffs"] == [1.0]
+    edge = math.sqrt(2.0 * t * mass)
+    assert abs(out["a"] + edge) <= 1e-12 and abs(out["b"] - edge) <= 1e-12
+    assert out["h_coeffs"] == [1.0 / t]
+
+
+def test_eqm_double_well_is_not_one_cut_regular(tmp_path):
+    cfg = tmp_path / "well.json"
+    cfg.write_text('{"type": "poly", "coeffs": [0, 0, -3, 0, 1]}')
+    cp = run_cli("eqm", "--potential", str(cfg))
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert json.loads(cp.stderr)["kind"] == "not-one-cut-regular"
 
 
 def test_eqm_bad_mass_exits_1(quadratic_config):
@@ -160,10 +187,16 @@ def test_psi_command():
     assert out["det_err_max"] < 1e-8
     assert out["c12_rel_err"] < 0.02
     assert out["c21_rel_err"] < 0.02
-    # at 5+5i the Cauchy transforms lose their digits from k = 13 on
-    cp = run_cli("psi", "--k", "21")
-    assert cp.returncode == 1
-    assert json.loads(cp.stderr)["kind"] == "precision-limit"
+    # at 5+5i the Cauchy transforms keep 1e-8 through k = 12 and lose their
+    # digits from k = 13 on; 171! has no double value
+    cp = run_cli("psi", "--k", "12")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["det_err_max"] < 1e-7
+    for k in ("13", "21", "171"):
+        cp = run_cli("psi", "--k", k)
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert json.loads(cp.stderr)["kind"] == "precision-limit"
 
 
 def test_sweep_command(eynard_config):
@@ -246,12 +279,21 @@ def test_count_explicit_delta(eynard_config):
     out = json.loads(cp.stdout)
     assert out["delta"] == 0.1
     assert 0.0 < out["count"] < 40
-    # a NaN half-width is refused by its own name
-    cp = run_cli("count", "--potential", eynard_config, "--n", "40", "--s", "1.0", "--delta", "nan")
-    assert cp.returncode == 1
-    assert cp.stdout == ""
-    err = json.loads(cp.stderr)
-    assert err == {"error": "delta must be finite, got nan", "kind": "invalid-parameter"}
+    # a NaN or nonpositive half-width is refused by its own name, and only a
+    # positive one that reaches the band by the overlap
+    for delta, message in (
+        ("nan", "delta must be finite, got nan"),
+        ("-0.1", "delta must be positive, got -0.1"),
+        ("0", "delta must be positive, got 0.0"),
+        ("2", "window half-width 2.0 overlaps the band [a, b]"),
+    ):
+        cp = run_cli(
+            "count", "--potential", eynard_config, "--n", "40", "--s", "1.0", "--delta", delta
+        )
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        err = json.loads(cp.stderr)
+        assert err == {"error": message, "kind": "invalid-parameter"}
 
 
 def test_out_writes_csv(tmp_path):

@@ -368,6 +368,20 @@ def test_phix_growth_check_quartic_e4():
     assert abs(d[3]) < 3.0 * abs(d[0])
 
 
+@pytest.mark.parametrize(
+    "e, n_list", [(4.0, [320, 1280, 5120]), (3.0, [640, 2560])], ids=["e4", "e3"]
+)
+def test_phix_growth_check_tends_to_minus_s_J(e, n_list):
+    # the growth law's limit: d_n -> -s J with |d_n + s J| <= (log n)^2 / n;
+    # measured ratios 0.244, 0.265, 0.280 at e = 4 and 0.897, 0.913 at e = 3,
+    # where the margin is only about 9%
+    pot, _ = make_eynard(e)
+    d = phix_growth_check(pot, 1.0, n_list)
+    for n, d_n in zip(n_list, d):
+        J = make_scaling(pot, n, 1.0).J
+        assert abs(d_n + J) <= np.log(n) ** 2 / n, (n, d_n, J)
+
+
 def test_phix_growth_check_desk_scale(eynard3_pot):
     # the reduced-mass realization underlying the growth residuals is
     # invalid at desk scale for this potential; the check must fail loudly

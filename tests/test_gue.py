@@ -268,12 +268,19 @@ def test_psi_matrix_one_quadrature(monkeypatch):
 
 
 def test_cauchy_requires_off_axis():
-    with pytest.raises(OffAxisRequiredError):
-        hermite_cauchy(1, 2.0)
+    for k in (1, -1):
+        with pytest.raises(OffAxisRequiredError):
+            hermite_cauchy(k, 2.0)
     # the degree and the finiteness of zeta are checked on both routes
     for k, zeta in ((-2, 20j), (-2, 2j), (1, complex(math.nan, 1.0)), (1, complex(1.0, math.inf))):
         with pytest.raises(InvalidParameterError):
             hermite_cauchy(k, zeta)
+
+
+def test_cauchy_degree_minus_one_is_zero():
+    # C_{-1} = 0 off the axis, near (2i) and beyond the far-field switch (20i)
+    for zeta in (2j, 20j):
+        assert hermite_cauchy(-1, zeta) == 0.0
 
 
 def test_psi_unimodular():

@@ -31,19 +31,24 @@ This module alone chooses the quadrature window and the node count:
 quadrature_support gives the default rule, and only build_recurrence's
 refinement departs from it. _recur is the one gate of every evaluation.
 
-Both sweeps fold mantissas into the log scales on one schedule; the
-evaluation sweep ends a block at every fold check. On the window
-[lo, hi], G_j = (max(|lo - alpha_j|, |hi - alpha_j|) + sqrt(beta_j)) /
-sqrt(beta_{j+1}) bounds max(|p_{j+1}|, |p_j|) / max(|p_j|, |p_{j-1}|) at
-every point (_growth). A fold check is due when the product of G_j since the
-last check would pass _GROWTH = 1e20; it folds every mantissa pair above
-_FOLD = 1e80, so no mantissa passes _RENORM = 1e100. One scan of the points
-per check replaces a scan at every degree. The Stieltjes build also takes
-its active hull at each check: the span from the first to the last node
-whose weight E max(p_j^2, p_{j-1}^2) times _GROWTH^2 reaches _NEGLIGIBLE =
+Both sweeps fold mantissas into the log scales by one rule, each on a
+budget of its own. On the window [lo, hi], G_j = (max(|lo - alpha_j|,
+|hi - alpha_j|) + sqrt(beta_j)) / sqrt(beta_{j+1}) bounds max(|p_{j+1}|,
+|p_j|) / max(|p_j|, |p_{j-1}|) at every point (_growth). A fold check is due
+when the product of G_j since the last check would pass the budget's growth
+bound, and it folds every mantissa pair above the budget's fold level. The
+Stieltjes build checks at _GROWTH = 1e20 and folds above _FOLD = 1e80, so no
+mantissa passes _RENORM = 1e100. The evaluation sweep checks at _EVAL_GROWTH
+= 1e120 and folds above _EVAL_FOLD = 1e20, so no mantissa passes 1e140 and a
+block's sum of squares stays inside the double range; it ends a block at
+every check, 24 of them at e = 3, n = 2560. One scan of the points per
+check replaces a scan at every degree. The Stieltjes build also takes its
+active hull at each check: the span from the first to the last node whose
+weight E max(p_j^2, p_{j-1}^2) times _GROWTH^2 reaches _NEGLIGIBLE =
 1e-34. No node outside it can reach that weight before the next check, so
 the two dot products per degree run over the hull alone and drop less than
-M 1e-34 of the unit norm of p_{j+1}; the recurrence runs on every node.
+M 1e-34 of the unit norm of p_{j+1}; the recurrence runs on every node. A
+larger growth bound would widen that hull.
 """
 
 from __future__ import annotations
@@ -72,12 +77,14 @@ _MAX_DOUBLINGS = 60
 _ORDER = 63  # Gauss-Legendre nodes per panel
 _MIN_NODES = 2000
 _NODES_PER_BAND = 5  # nodes per degree, per band width of window, in the uniform rule
-_NODES_PER_ZERO = 4  # nodes per zero of p_n, in the density-adapted rule
+_NODES_PER_ZERO = 3  # nodes per zero of p_n, in the density-adapted rule
 _REGIME = 16.0  # n |t - 1| / log n up to which the panels follow rho_1
 _STRING_TOL = 1e-12
-_RENORM = 1e100  # no mantissa of a sweep passes this
-_GROWTH = 1e20  # growth bound between fold checks
-_FOLD = _RENORM / _GROWTH  # a fold check folds mantissas above this
+_RENORM = 1e100  # no mantissa of the Stieltjes build passes this
+_GROWTH = 1e20  # growth bound between the build's fold checks
+_FOLD = _RENORM / _GROWTH  # a build fold check folds mantissas above this
+_EVAL_GROWTH = 1e120  # growth bound between the evaluation sweep's fold checks
+_EVAL_FOLD = 1e20  # an evaluation fold check folds mantissas above this
 _BLOCK = 2**18  # values per block of the evaluation sweep
 _NEGLIGIBLE = 1e-34  # a node weight the Stieltjes sums may drop
 _EDGE_TOL = 1e-30
@@ -194,9 +201,10 @@ def quadrature_support(
       the window, [a, b] the unit band, across which a degree-n polynomial
       oscillates about n times;
     - density-adapted: edges at equal steps of the integral over the window
-      of g = max(rho_1, g_off), 4 n / 63 panels per unit of it and at least
-      32. rho_1, the unit equilibrium density, gives the band about 4 nodes
-      per zero of p_n; g_off makes an off-band panel one outpost width
+      of g = max(rho_1, g_off), 3 n / 63 panels per unit of it and at least
+      32. rho_1, the unit equilibrium density, gives the band about 3 nodes
+      per zero of p_n (at 2, tables from n = 2560 on miss the string
+      equations); g_off makes an off-band panel one outpost width
       wide, min(b - a, 1 / sqrt(c)) / sqrt(n) with c the curvature at x*,
       or (b - a) / sqrt(n) when V has no x* that detect_singular can give.
       The integral is the trapezoid sum on the bracket's samples of rho_1,
@@ -421,8 +429,10 @@ def _stieltjes(rule: QuadratureRule, log_half: np.ndarray, N: int):
     _NEGLIGIBLE. The two sums run over that hull: outside it no weight
     E p_{j+1}^2 can reach _NEGLIGIBLE before the next check. The hull is
     one span from a full scan, since the nodes that carry weight can leave
-    a gap between the band and x*. G_j needs beta_{j+1}, so the step whose
-    G_j takes the product past _GROWTH checks, sums and bounds again.
+    a gap between the band and x*. The hull's slices of E, E x and the
+    square buffer are taken once per check. G_j needs beta_{j+1}, so the
+    step whose G_j takes the product past _GROWTH checks, sums and bounds
+    again.
 
     q, its square and E x live in three buffers allocated once: fresh
     M-length temporaries at every degree page-fault from about 30k nodes
@@ -460,12 +470,14 @@ def _stieltjes(rule: QuadratureRule, log_half: np.ndarray, N: int):
         m *= m
         m *= E
         live = m >= _NEGLIGIBLE / _GROWTH**2
-        return int(live.argmax()), x.size - int(live[::-1].argmax())
+        first, last = int(live.argmax()), x.size - int(live[::-1].argmax())
+        return first, last, E[first:last], Ex[first:last], sq[first:last]
 
-    lo, hi = rule.lo, rule.hi
+    # _growth's scalar arithmetic, inlined: G_j = (half + |a - mid| + sb) / sqrt(b)
+    half, mid = 0.5 * (rule.hi - rule.lo), 0.5 * (rule.lo + rule.hi)
     a, sb = float(E @ x), 0.0
     alpha, beta = [a], [0.0]
-    first, last = check()
+    first, last, E_hull, Ex_hull, sq_hull = check()
     growth = 1.0
     for j in range(N):
         np.subtract(x, a, out=q)
@@ -475,23 +487,24 @@ def _stieltjes(rule: QuadratureRule, log_half: np.ndarray, N: int):
         for rescan in (False, True):
             if rescan:
                 # the hull was taken for less growth: scan again, sum again
-                first, last = check()
+                first, last, E_hull, Ex_hull, sq_hull = check()
                 growth = 1.0
-            hull_sq = np.square(q[first:last], out=sq[first:last])
-            b = float(E[first:last] @ hull_sq)
-            if not 1e-28 < b < np.inf:
+            np.square(q[first:last], out=sq_hull)
+            b = float(E_hull @ sq_hull)
+            if not 1e-28 < b < math.inf:
                 raise NumericalBreakdownError(
                     f"off-diagonal collapsed at degree {j + 1}; "
                     "increase quadrature nodes or reduce n"
                 )
-            g = _growth(lo, hi, a, sb, math.sqrt(b))
+            sb_next = math.sqrt(b)
+            g = (half + abs(a - mid) + sb) / sb_next
             if growth * g <= _GROWTH:
                 break
         growth *= g
-        a = float(Ex[first:last] @ hull_sq) / b
+        a = float(Ex_hull @ sq_hull) / b
         alpha.append(a)
         beta.append(b)
-        sb = math.sqrt(b)
+        sb = sb_next
         q *= 1.0 / sb
         prev, cur, q = cur, q, prev
     ends = [0, -1]
@@ -508,14 +521,16 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
     own degrees run through 0..upto in order, and the last block ends at
     upto. The one evaluation sweep of the weighted three-term recurrence,
     seeded with the weighted p_0. Each point carries a log scale of its
-    own. Fold checks follow the Stieltjes build's rule: one is due before
-    the product of _growth since the last check can pass _GROWTH, and it
-    folds each pair of mantissas whose larger entry exceeds _FOLD into the
-    scale, so no mantissa passes _RENORM. p_j at a fixed point does not
-    decay with j, so no fold downward is needed. In the window's far tails
-    a low-degree value can underflow to zero; it is then below double
-    resolution next to the values of higher degree, which regrow from the
-    mantissa.
+    own. Fold checks follow the Stieltjes build's rule on a budget of their
+    own: one is due before the product of _growth since the last check can
+    pass _EVAL_GROWTH, and it folds each pair of mantissas whose larger
+    entry exceeds _EVAL_FOLD into the scale, so no mantissa passes 1e140.
+    The checks fall where the table puts them and each point folds on its
+    own values, so no value depends on the other points. p_j at a fixed
+    point does not decay with j, so no fold downward is needed. In the
+    window's far tails a low-degree value can underflow to zero; it is then
+    below double resolution next to the values of higher degree, which
+    regrow from the mantissa.
 
     A block ends at every fold check, after which the next block starts
     from the folded pair, and holds at most _BLOCK values (three rows when
@@ -523,11 +538,14 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
     sqrt(beta_{j+1}) for all its degrees in one step, then row_{j+1} =
     D_j row_j - c_j row_{j-1}, c_j = sqrt(beta_j) / sqrt(beta_{j+1}), in
     place: three numpy calls per degree. Every block has a fresh buffer,
-    so no yielded array is written to later and callers may keep them. The one
-    gate of every evaluation, on the first step: raises
-    InvalidParameterError for NaN points or upto outside 0..table.N, and
-    PrecisionLimitError for points outside the quadrature window.
+    so no yielded array is written to later and callers may keep them. The
+    one gate of every evaluation, on the first step: raises
+    InvalidParameterError for points that are not a 1-d array, NaN points
+    or upto outside 0..table.N, and PrecisionLimitError for points outside
+    the quadrature window.
     """
+    if pts.ndim != 1:
+        raise InvalidParameterError(f"points must be a 1-d array, got shape {pts.shape}")
     if np.isnan(pts).any():
         raise InvalidParameterError("points must not be NaN")
     if not 0 <= upto <= table.N:
@@ -548,7 +566,7 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
     blocks, bound, start = [], 1.0, 1  # (last degree, fold check after it)
     for j in range(1, upto + 1):
         bound *= growth[j - 1]
-        fold = bound * growth[j] > _GROWTH
+        fold = bound * growth[j] > _EVAL_GROWTH
         if fold:
             bound = 1.0
         if fold or j == upto or j - start + 1 == width:
@@ -572,7 +590,7 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
         seed = rows[-2:]
         if fold:
             m = np.maximum(np.abs(seed[0]), np.abs(seed[1]))
-            mask = m > _FOLD
+            mask = m > _EVAL_FOLD
             if mask.any():
                 f = np.where(mask, m, 1.0)
                 L = L + np.log(f)
@@ -580,9 +598,18 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
         top = end + 1
 
 
+def _near(x, y):
+    """Whether the pair takes the sum form: |x - y| < _DIAG_SWITCH (1 + max(|x|, |y|)).
+
+    Closer than that, the Christoffel-Darboux quotient loses digits to
+    cancellation. Takes floats or arrays alike; NaN is never near.
+    """
+    return np.abs(x - y) < _DIAG_SWITCH * (1.0 + np.maximum(np.abs(x), np.abs(y)))
+
+
 def kernel(table: RecurrenceTable, x: float, y: float) -> float:
     """Rank-n projection kernel K_n(x, y): kernel_matrix's entry, the confluent sum near x = y."""
-    if abs(x - y) < _DIAG_SWITCH * (1.0 + abs(x)):
+    if _near(x, y):
         return _kernel_confluent(table, x, y)
     return float(kernel_matrix(table, np.array([x, y], dtype=float))[0, 1])
 
@@ -620,13 +647,25 @@ def weighted_sweep(table: RecurrenceTable, pts: np.ndarray):
 
 
 def kernel_matrix(table: RecurrenceTable, pts: np.ndarray) -> np.ndarray:
-    """Kernel on a point grid; Christoffel-Darboux off the diagonal, sum on it."""
+    """Kernel on a point grid, each entry as kernel() takes it.
+
+    Christoffel-Darboux off the diagonal; the diagonal sum on it and at
+    repeated points; the confluent sum at a pair of distinct points that
+    _near calls near, one two-point sweep per pair.
+    """
+    pts = np.asarray(pts, dtype=float)
     psi1, psi0, diag = weighted_sweep(table, pts)
     outer = np.outer(psi0, psi1)
     dx = np.subtract.outer(pts, pts)
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.sqrt(table.beta[table.n]) * (outer - outer.T) / dx
     np.fill_diagonal(K, diag)
+    close = _near(pts[:, None], pts)
+    np.fill_diagonal(close, False)
+    for i, j in zip(*np.nonzero(close)):
+        if i < j:
+            same = pts[i] == pts[j]
+            K[i, j] = K[j, i] = diag[i] if same else _kernel_confluent(table, pts[i], pts[j])
     return K
 
 

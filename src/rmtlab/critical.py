@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -35,12 +34,8 @@ class ScalingParams:
     nu = max(s, 0) = n * m; k is the nearest nonnegative integer to nu
     (exact half-integers round up) and delta = nu - k. c is the local
     curvature scale and J the edge-to-gap-point arcsine integral entering
-    the s <-> t conversion.
-
-    x_star_nt, the reduced-mass diagnostic, is computed when it is first
-    read (json_dict reads it) and kept on the bundle. It is find_xstar_nt's
-    point, or x* with a warning when find_xstar_nt raises
-    NoConvergenceError; the warning comes then, not from make_scaling.
+    the s <-> t conversion. The reduced-mass point is not part of the
+    bundle: find_xstar_nt gives it, or the typed reason it does not exist.
     """
 
     n: int
@@ -55,18 +50,18 @@ class ScalingParams:
     J: float
     potential: Potential = field(repr=False, compare=False)
 
-    @cached_property
-    def x_star_nt(self) -> float:
-        try:
-            return float(find_xstar_nt(self.potential, self.t, self.m))
-        except NoConvergenceError as exc:
-            warnings.warn(str(exc), stacklevel=3)  # at the line that read x_star_nt
-            return self.x_star
-
     def json_dict(self) -> dict:
-        """Every field but the potential, and x_star_nt."""
+        """Every field but the potential, and x_star_nt.
+
+        x_star_nt is find_xstar_nt's point, computed on each call, or x*
+        where find_xstar_nt raises NoConvergenceError.
+        """
+        try:
+            x_nt = float(find_xstar_nt(self.potential, self.t, self.m))
+        except NoConvergenceError:
+            x_nt = self.x_star
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "potential"}
-        return out | {"x_star_nt": self.x_star_nt}
+        return out | {"x_star_nt": x_nt}
 
 
 @lru_cache(maxsize=256)
@@ -244,7 +239,7 @@ def make_scaling(potential: Potential, n: int, s: float) -> ScalingParams:
     """Assemble the double-scaling bundle at (n, s).
 
     After the first call for a potential this is arithmetic: x*, J and c
-    are cached per potential, and x_star_nt waits until it is read.
+    are cached per potential.
     Raises InvalidParameterError unless |s| <= 8, n >= 2 and t > 0, and
     the geometry's typed error when V has no valid gap-closing point.
     """

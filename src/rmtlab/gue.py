@@ -13,12 +13,14 @@ than return a transform with fewer digits than _CAUCHY_TOL asks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidParameterError, OffAxisRequiredError, PrecisionLimitError
+from .orthopoly import near_pairs
 
 _DIAG_SWITCH = 1e-8
 
@@ -75,7 +77,8 @@ def gue_kernel_sum(k: int, u: float, v: float) -> float:
 
 
 def gue_kernel_grid(k: int, grid: np.ndarray) -> np.ndarray:
-    """Kernel matrix on a 1-d grid, diagonal filled with the summed form."""
+    """Kernel matrix on a 1-d grid: Christoffel-Darboux off the diagonal, the
+    summed form on it, and orthopoly.near_pairs's rule with gue_kernel_sum."""
     if k < 0:
         raise InvalidParameterError(f"k must be nonnegative, got {k}")
     grid = np.asarray(grid, dtype=float)
@@ -89,8 +92,8 @@ def gue_kernel_grid(k: int, grid: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         kk = np.sqrt(k / 2.0) * (outer - outer.T) / du
     np.fill_diagonal(kk, diag)
-    gauss = np.exp(-0.5 * np.add.outer(grid * grid, grid * grid))
-    return kk * gauss
+    K = kk * np.exp(-0.5 * np.add.outer(grid * grid, grid * grid))
+    return near_pairs(K, grid, partial(gue_kernel_sum, k))
 
 
 _FAR_FIELD_RADIUS = 10.0

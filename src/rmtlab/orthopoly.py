@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -598,19 +598,23 @@ def _recur(table: RecurrenceTable, pts: np.ndarray, upto: int):
         top = end + 1
 
 
-def _near(x, y):
-    """Whether the pair takes the sum form: |x - y| < _DIAG_SWITCH (1 + max(|x|, |y|)).
+def near_pairs(K: np.ndarray, pts: np.ndarray, pair) -> np.ndarray:
+    """K, a Christoffel-Darboux kernel on the grid pts with its diagonal set,
+    with the sum form at each pair closer than _DIAG_SWITCH (1 + max(|x|, |y|)).
 
-    Closer than that, the Christoffel-Darboux quotient loses digits to
-    cancellation. Takes floats or arrays alike; NaN is never near.
+    Closer than that, the quotient loses digits to cancellation. A repeated
+    point takes K's diagonal and two distinct points pair(x, y); NaN is
+    never near. Shared by kernel_matrix and gue.gue_kernel_grid.
     """
-    return np.abs(x - y) < _DIAG_SWITCH * (1.0 + np.maximum(np.abs(x), np.abs(y)))
+    reach = _DIAG_SWITCH * (1.0 + np.maximum.outer(np.abs(pts), np.abs(pts)))
+    close = np.abs(np.subtract.outer(pts, pts)) < reach
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        K[i, j] = K[j, i] = K[i, i] if pts[i] == pts[j] else pair(pts[i], pts[j])
+    return K
 
 
 def kernel(table: RecurrenceTable, x: float, y: float) -> float:
-    """Rank-n projection kernel K_n(x, y): kernel_matrix's entry, the confluent sum near x = y."""
-    if _near(x, y):
-        return _kernel_confluent(table, x, y)
+    """Rank-n projection kernel K_n(x, y): kernel_matrix's entry."""
     return float(kernel_matrix(table, np.array([x, y], dtype=float))[0, 1])
 
 
@@ -630,9 +634,10 @@ def weighted_sweep(table: RecurrenceTable, pts: np.ndarray):
     """Vectorized psi values at real points inside the quadrature window.
 
     Returns (psi_{n-1}, psi_n, diag) in absolute scale, where diag is the
-    kernel diagonal sum over degrees below n. Values below double
-    resolution, as in the window's far tails, come out as zero. Raises
-    _recur's errors.
+    kernel diagonal sum over degrees below n. Values below the normal
+    double range, as in the window's far tails, come out as zero or as
+    subnormals that hold a few digits only (down to 5e-324 on the count
+    nodes at e = 6, n = 5120). Raises _recur's errors.
     """
     pts = np.asarray(pts, dtype=float)
     diag = np.zeros_like(pts)
@@ -647,11 +652,10 @@ def weighted_sweep(table: RecurrenceTable, pts: np.ndarray):
 
 
 def kernel_matrix(table: RecurrenceTable, pts: np.ndarray) -> np.ndarray:
-    """Kernel on a point grid, each entry as kernel() takes it.
+    """Kernel on a point grid; kernel() takes one entry of it.
 
-    Christoffel-Darboux off the diagonal; the diagonal sum on it and at
-    repeated points; the confluent sum at a pair of distinct points that
-    _near calls near, one two-point sweep per pair.
+    Christoffel-Darboux off the diagonal, the diagonal sum on it, and
+    near_pairs's rule with the confluent sum, one two-point sweep per pair.
     """
     pts = np.asarray(pts, dtype=float)
     psi1, psi0, diag = weighted_sweep(table, pts)
@@ -660,13 +664,7 @@ def kernel_matrix(table: RecurrenceTable, pts: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.sqrt(table.beta[table.n]) * (outer - outer.T) / dx
     np.fill_diagonal(K, diag)
-    close = _near(pts[:, None], pts)
-    np.fill_diagonal(close, False)
-    for i, j in zip(*np.nonzero(close)):
-        if i < j:
-            same = pts[i] == pts[j]
-            K[i, j] = K[j, i] = diag[i] if same else _kernel_confluent(table, pts[i], pts[j])
-    return K
+    return near_pairs(K, pts, partial(_kernel_confluent, table))
 
 
 def kernel_diagonal(table: RecurrenceTable, pts: np.ndarray) -> np.ndarray:

@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,9 +24,6 @@ from rmtlab import (
     solve,
     unit_equilibrium,
 )
-
-# the reduced-mass realization warnings are expected behavior at these sizes
-pytestmark = pytest.mark.filterwarnings("ignore:reduced-mass band")
 
 
 def exact_q_second(eq, x):
@@ -185,7 +181,7 @@ def test_make_scaling_negative_s(eynard3_pot):
     p = make_scaling(eynard3_pot, 100, -0.5)
     assert p.m == 0.0 and p.nu == 0.0 and p.k == 0 and p.delta == 0.0
     assert p.t < 1.0
-    assert p.x_star_nt == p.x_star
+    assert p.json_dict()["x_star_nt"] == p.x_star
 
 
 def test_make_scaling_half_integer_tie(eynard3_pot):
@@ -220,15 +216,13 @@ def test_find_xstar_nt_unit_branch(eynard3_pot):
 def test_find_xstar_nt_desk_scale_breakdown(eynard3_pot):
     # the reduced-mass one-cut band reaches x* at these parameters, so
     # find_xstar_nt must refuse rather than return a point inside the band;
-    # the bundle's lenient x_star_nt falls back to x* with a warning
+    # the bundle's JSON record falls back to x*
     J = scaling_J(-2.0, 2.0, 3.0)
     t = s_to_t(1.0, 160, J)
     with pytest.raises(NoConvergenceError):
         find_xstar_nt(eynard3_pot, t, 1.0 / 160.0)
     params = replace(make_scaling(eynard3_pot, 160, 1.0), t=t, m=1.0 / 160.0)
-    with pytest.warns(UserWarning):
-        x = params.x_star_nt
-    assert abs(x - 3.0) < 1e-6
+    assert abs(params.json_dict()["x_star_nt"] - 3.0) < 1e-6
 
 
 def test_nonpositive_s_reuses_unit_mass_solve(eynard3_pot):
@@ -241,13 +235,10 @@ def test_nonpositive_s_reuses_unit_mass_solve(eynard3_pot):
 
 @pytest.mark.parametrize("n", [240, 300])
 def test_make_scaling_survives_reduced_mass_no_convergence(eynard3_pot, n):
-    # the reduced-mass endpoint Newton does not converge here; the kernel
-    # does not need x_star_nt, so the bundle falls back to x*, with the
-    # warning coming when the lazy diagnostic is read
+    # the reduced-mass endpoint Newton does not converge here; the bundle
+    # does not need the reduced-mass point, and its JSON record falls back to x*
     params = make_scaling(eynard3_pot, n, 1.0)
-    with pytest.warns(UserWarning):
-        x_star_nt = params.x_star_nt
-    assert x_star_nt == params.x_star
+    assert params.json_dict()["x_star_nt"] == params.x_star
     with pytest.raises(NoConvergenceError):
         find_xstar_nt(eynard3_pot, params.t, params.m)
 
@@ -260,10 +251,11 @@ def test_make_scaling_never_computes_x_star_nt(eynard3_pot, monkeypatch):
     params = make_scaling(eynard3_pot, 160, 1.0)
     assert params.k == 1
     with pytest.raises(AssertionError):
-        params.x_star_nt
+        params.json_dict()
 
 
-def test_x_star_nt_read_once(eynard3_pot, monkeypatch):
+def test_x_star_nt_one_find_per_json_dict(eynard3_pot, monkeypatch):
+    # the bundle caches nothing: each JSON record calls find_xstar_nt once
     calls = []
 
     def counting(*args, **kwargs):
@@ -272,8 +264,10 @@ def test_x_star_nt_read_once(eynard3_pot, monkeypatch):
 
     monkeypatch.setattr(critical, "find_xstar_nt", counting)
     params = make_scaling(eynard3_pot, 160, 1.0)
-    assert params.json_dict()["x_star_nt"] == params.x_star_nt == 2.5
-    assert len(calls) == 1
+    for reads in (1, 2):
+        assert params.json_dict()["x_star_nt"] == 2.5
+        assert len(calls) == reads
+    assert calls[0] == (eynard3_pot, params.t, params.m)
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 2.0])
@@ -308,16 +302,14 @@ def test_make_scaling_total(e):
     # a finite bundle, or a refusal exactly where t would not be positive
     pot, _ = make_eynard(e)
     refused = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for n in _TOTALITY_N:
-            for s in _TOTALITY_S:
-                try:
-                    d = make_scaling(pot, n, s).json_dict()
-                except InvalidParameterError:
-                    refused.append((n, s))
-                    continue
-                assert all(np.isfinite(v) for v in d.values()), (n, s, d)
+    for n in _TOTALITY_N:
+        for s in _TOTALITY_S:
+            try:
+                d = make_scaling(pot, n, s).json_dict()
+            except InvalidParameterError:
+                refused.append((n, s))
+                continue
+            assert all(np.isfinite(v) for v in d.values()), (n, s, d)
     assert refused == _NONPOSITIVE_T[e]
 
 
@@ -338,11 +330,9 @@ def test_nonstrict_polish_stall_falls_back(eynard3_pot, monkeypatch):
     assert abs(find_xstar_nt(eynard3_pot, 1.05, 0.05) - x_star) < 0.1
     params = replace(make_scaling(eynard3_pot, 120, 1.0), t=1.05, m=0.05)
     monkeypatch.setattr(critical, "_polish_root", lambda h, dh, x0: x0 + 1.0)
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(NoConvergenceError, match="root polish stalled"):
         find_xstar_nt(eynard3_pot, 1.05, 0.05)
-    with pytest.warns(UserWarning, match="root polish stalled"):
-        x = params.x_star_nt
-    assert x == x_star
+    assert params.json_dict()["x_star_nt"] == x_star
 
 
 def test_phix_growth_check_rejects_nonpositive_s(eynard3_pot):

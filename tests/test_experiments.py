@@ -31,13 +31,6 @@ DECAY_S1 = (-1.6, -1.05)  # measured -1.335
 DECAY_S13 = (-2.0, -1.30)  # measured -1.682
 
 
-@pytest.fixture(autouse=True)
-def _quiet_realization_warnings():
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="reduced-mass band")
-        yield
-
-
 def test_grid_points():
     assert np.allclose(GRID.points()[:3], [-3.0, -2.75, -2.5])
     assert len(GRID.points()) == 25

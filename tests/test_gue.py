@@ -141,6 +141,20 @@ def test_grid_helper_matches_scalar():
             assert abs(mat[i, j] - gue_kernel(3, u, v)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "k, grid",
+    [(2, [0.5, 0.5]), (3, [0.3, 0.3 + 1e-12]), (3, [0.3, 0.3 + 1e-14])],
+    ids=["repeat", "1e-12", "1e-14"],
+)
+def test_grid_at_repeated_and_close_points(k, grid):
+    # the Christoffel-Darboux quotient is NaN at a repeated point and cancels
+    # at close ones: 8.3e-6 relative at 1e-12 apart and 5.7e-3 at 1e-14 (k = 3)
+    mat = gue_kernel_grid(k, grid)
+    want = gue_kernel_sum(k, *grid)
+    assert mat[0, 1] == mat[1, 0]
+    assert abs(mat[0, 1] - want) <= 1e-12 * abs(want)
+
+
 def test_cauchy_against_brute_force():
     z = 1j
     u = np.linspace(-12.0, 12.0, 100001)

@@ -10,7 +10,6 @@ an onset fails here, with the measured values in the message. Criterion
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -19,13 +18,6 @@ import rmtlab as R
 from rmtlab.experiments import best_single_index, pipeline_report
 
 GRID = R.GridSpec(-3.0, 3.0, 0.25)
-
-
-@pytest.fixture(autouse=True)
-def _quiet():
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="reduced-mass band")
-        yield
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -254,9 +253,7 @@ def test_longdouble_stieltjes_oracle(eynard3_pot):
 
 def _ladder_table(pot, n):
     """Table at s = 1, shared with the experiments layer through its cache."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="reduced-mass band")
-        t = make_scaling(pot, n, 1.0).t
+    t = make_scaling(pot, n, 1.0).t
     return recurrence_for(pot, n, t)
 
 
@@ -615,20 +612,23 @@ def test_points_must_be_1d(hermite_table, evaluate, pts):
 
 
 def test_kernel_matrix_at_repeated_and_close_points():
-    # each entry is taken as kernel() takes it: the diagonal sum at a
-    # repeated point (the Christoffel-Darboux quotient is NaN there) and the
-    # confluent sum at close points (at e = 3 and n = 160 the quotient is off
-    # by up to 7e-4 relative at 1e-12 apart, on x* - 1.5 to x* + 0.5)
+    # the diagonal sum at a repeated point (the Christoffel-Darboux quotient
+    # is NaN there) and the confluent sum at close points (at e = 3 and
+    # n = 160 the quotient is off by up to 7e-4 relative at 1e-12 apart, on
+    # x* - 1.5 to x* + 0.5); kernel() takes its entry of the matrix
+    from rmtlab.orthopoly import _kernel_confluent
+
     table = _scaled_table(3.0, 160, 1.0)
     x = detect_singular(table.potential) + 0.05
     pts = np.array([x, 0.5, x, x + 1e-12, x + 1e-10])
     K = kernel_matrix(table, pts)
     diag = kernel_diagonal(table, pts)
     assert np.all(np.isfinite(K))
-    assert K[0, 2] == K[2, 0] == K[0, 0] == K[2, 2] == diag[0]
+    assert K[0, 2] == K[2, 0] == K[0, 0] == K[2, 2] == diag[0] == kernel(table, x, x)
     for i, j in ((0, 3), (3, 0), (0, 4), (4, 3)):
-        want = kernel(table, pts[i], pts[j])
+        want = _kernel_confluent(table, pts[i], pts[j])
         assert abs(K[i, j] - want) <= 1e-12 * abs(want)
+        assert kernel(table, pts[i], pts[j]) == K[i, j]
     assert K[0, 1] == kernel(table, x, 0.5)  # far pairs keep the quotient
 
 
@@ -636,7 +636,7 @@ def test_kernel_matrix_at_repeated_and_close_points():
 def test_scalar_kernel_nan(hermite_table, x, y):
     from rmtlab.orthopoly import _kernel_confluent
 
-    # NaN never passes the diagonal switch, so the confluent sum is called directly
+    # the sweep refuses NaN points, in the matrix and in the confluent sum
     with pytest.raises(InvalidParameterError):
         kernel(hermite_table, x, y)
     with pytest.raises(InvalidParameterError):
@@ -690,9 +690,7 @@ def _stieltjes_every_node(rule, log_half, N):
 def _scaled_table(e, n, s):
     """Table of make_eynard(e) at (n, s), shared through the experiments cache."""
     pot = make_eynard(e)[0]
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="reduced-mass band")
-        t = make_scaling(pot, n, s).t
+    t = make_scaling(pot, n, s).t
     return recurrence_for(pot, n, t)
 
 

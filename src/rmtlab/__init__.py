@@ -62,57 +62,3 @@ from .orthopoly import (
     string_residual,
 )
 from .potential import Potential, from_config, make_eynard
-
-__all__ = [
-    "ComparisonReport",
-    "EquilibriumData",
-    "GridSpec",
-    "InvalidParameterError",
-    "LambdaFit",
-    "NoConvergenceError",
-    "NoSingularPointError",
-    "NotOneCutRegularError",
-    "NumericalBreakdownError",
-    "OffAxisRequiredError",
-    "Potential",
-    "PrecisionLimitError",
-    "PsiMatrix",
-    "RecurrenceTable",
-    "RmtlabError",
-    "ScalingParams",
-    "WrongOrderError",
-    "build_recurrence",
-    "compare_to_gue",
-    "convergence_sweep",
-    "curvature_c",
-    "density",
-    "detect_singular",
-    "expected_count",
-    "find_xstar_nt",
-    "from_config",
-    "gue_kernel",
-    "gue_kernel_grid",
-    "gue_kernel_sum",
-    "hermite",
-    "hermite_cauchy",
-    "kernel",
-    "kernel_matrix",
-    "lagrange_ell",
-    "lambda_fit",
-    "log_potential",
-    "make_eynard",
-    "make_scaling",
-    "phi",
-    "phix_growth_check",
-    "psi_matrix",
-    "q_eval",
-    "q_eval_resolvent",
-    "quadrature_support",
-    "rescaled_kernel",
-    "s_to_t",
-    "scaling_J",
-    "solve",
-    "string_residual",
-    "unit_equilibrium",
-    "variational_residual",
-]

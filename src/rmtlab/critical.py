@@ -64,15 +64,10 @@ class ScalingParams:
         return out | {"x_star_nt": x_nt}
 
 
-@lru_cache(maxsize=256)
-def solve_cached(potential: Potential, t: float, mass: float) -> EquilibriumData:
-    """equilibrium.solve, cached per potential, t and mass."""
-    return equilibrium.solve(potential, t, mass)
-
-
+@lru_cache(maxsize=64)
 def unit_equilibrium(potential: Potential) -> EquilibriumData:
     """Unit-mass equilibrium data at t = 1, cached per potential."""
-    return solve_cached(potential, 1.0, 1.0)
+    return equilibrium.solve(potential, 1.0, 1.0)
 
 
 def _polish_root(h: np.ndarray, dh: np.ndarray, x0: float) -> float:
@@ -209,7 +204,7 @@ def find_xstar_nt(potential: Potential, t: float, m: float) -> float:
     if t <= 1.0 or m <= 0.0:
         return x_star
     try:
-        eq = solve_cached(potential, t, 1.0 - m)
+        eq = equilibrium.solve(potential, t, 1.0 - m)
     except RmtlabError as exc:
         raise NoConvergenceError(
             f"reduced-mass band at t={t:.6f} has no one-cut solve ({exc}); "
@@ -286,6 +281,6 @@ def phix_growth_check(potential: Potential, s: float, n_list) -> list[float]:
     for n in n_list:
         params = make_scaling(potential, n, s)
         x_nt = find_xstar_nt(potential, params.t, params.m)
-        eq = solve_cached(potential, params.t, 1.0 - params.m)
+        eq = equilibrium.solve(potential, params.t, 1.0 - params.m)
         out.append(float(n * equilibrium.phi(eq, x_nt) - 0.5 * s * np.log(n)))
     return out

@@ -20,9 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidParameterError, OffAxisRequiredError, PrecisionLimitError
-from .orthopoly import near_pairs
-
-_DIAG_SWITCH = 1e-8
+from .orthopoly import _DIAG_SWITCH, near_pairs
 
 
 def _hermite_values(x: np.ndarray, count: int):
@@ -56,13 +54,13 @@ def gue_kernel(k: int, u: float, v: float) -> float:
     """Correlation kernel of the k x k GUE; k = 0 is identically zero.
 
     sqrt(k/2) e^{-(u^2+v^2)/2} (H_k(u)H_{k-1}(v) - H_k(v)H_{k-1}(u)) / (u - v),
-    switching to the summed form near the diagonal.
+    with the summed form at pairs that orthopoly.near_pairs counts as close.
     """
     if k < 0:
         raise InvalidParameterError(f"k must be nonnegative, got {k}")
     if k == 0:
         return 0.0
-    if abs(u - v) < _DIAG_SWITCH:
+    if abs(u - v) < _DIAG_SWITCH * (1.0 + max(abs(u), abs(v))):
         return gue_kernel_sum(k, u, v)
     num = hermite(k, u) * hermite(k - 1, v) - hermite(k, v) * hermite(k - 1, u)
     return float(np.sqrt(k / 2.0) * np.exp(-(u * u + v * v) / 2.0) * num / (u - v))

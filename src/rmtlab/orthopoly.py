@@ -604,7 +604,8 @@ def near_pairs(K: np.ndarray, pts: np.ndarray, pair) -> np.ndarray:
 
     Closer than that, the quotient loses digits to cancellation. A repeated
     point takes K's diagonal and two distinct points pair(x, y); NaN is
-    never near. Shared by kernel_matrix and gue.gue_kernel_grid.
+    never near. Used by kernel_matrix and gue.gue_kernel_grid; the scalar
+    gue.gue_kernel applies the same test to its one pair.
     """
     reach = _DIAG_SWITCH * (1.0 + np.maximum.outer(np.abs(pts), np.abs(pts)))
     close = np.abs(np.subtract.outer(pts, pts)) < reach
@@ -622,11 +623,14 @@ def _kernel_confluent(table: RecurrenceTable, x: float, y: float) -> float:
     """Sum form over degrees below n, stable at and near the diagonal.
 
     x and y carry log scales of their own: far apart, their weights differ
-    by more than the double range.
+    by more than the double range. Each block is scaled as weighted_sweep
+    scales it, twice by exp((L_x + L_y) / 2), since exp(L_x + L_y)
+    underflows first; swapped arguments give the same bits.
     """
     acc = 0.0
     for _, rows, L in _recur(table, np.array([x, y], dtype=float), table.n - 1):
-        acc += float(rows[1:, 0] @ rows[1:, 1]) * np.exp(L[0] + L[1])
+        scale = np.exp(0.5 * (L[0] + L[1]))
+        acc += float(rows[1:, 0] @ rows[1:, 1]) * scale * scale
     return float(acc)
 
 

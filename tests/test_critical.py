@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as npoly
 from rmtlab import (
     critical,
     equilibrium,
+    GridSpec,
     InvalidParameterError,
     NoConvergenceError,
     NoSingularPointError,
@@ -14,11 +15,13 @@ from rmtlab import (
     PrecisionLimitError,
     curvature_c,
     detect_singular,
+    expected_count,
     find_xstar_nt,
     make_eynard,
     make_scaling,
     phi,
     phix_growth_check,
+    rescaled_kernel,
     s_to_t,
     scaling_J,
     solve,
@@ -268,6 +271,32 @@ def test_x_star_nt_one_find_per_json_dict(eynard3_pot, monkeypatch):
         assert params.json_dict()["x_star_nt"] == 2.5
         assert len(calls) == reads
     assert calls[0] == (eynard3_pot, params.t, params.m)
+
+
+def test_unit_measure_solved_once_per_potential(eynard3_pot, monkeypatch):
+    # unit_equilibrium is the one cache of equilibrium solves: the bundle, the
+    # kernel and the count reuse its unit measure, while each JSON record
+    # solves its reduced-mass band again, to the same values
+    real, calls = equilibrium.solve, []
+
+    def counting(potential, t, mass):
+        calls.append((t, mass))
+        return real(potential, t, mass)
+
+    monkeypatch.setattr(equilibrium, "solve", counting)
+    critical.unit_equilibrium.cache_clear()
+    critical._geometry.cache_clear()
+    for _ in range(2):
+        for s in (-1.0, 1.0, 2.0):
+            make_scaling(eynard3_pot, 640, s)
+        rescaled_kernel(eynard3_pot, 40, 1.0, GridSpec(-1.0, 1.0, 0.5))
+        expected_count(eynard3_pot, 40, 1.0)
+    assert calls == [(1.0, 1.0)]
+    params = make_scaling(eynard3_pot, 640, 1.0)
+    first = params.json_dict()
+    assert params.json_dict() == first
+    assert first["x_star_nt"] != params.x_star  # the reduced-mass band is valid here
+    assert calls[1:] == [(params.t, 1.0 - params.m)] * 2
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 2.0])

@@ -141,18 +141,25 @@ def test_grid_helper_matches_scalar():
             assert abs(mat[i, j] - gue_kernel(3, u, v)) < 1e-12
 
 
+_SWITCH_BAND = [(k, u, d) for k in (1, 3, 8) for u in (3.0, -2.5) for d in (2e-8, 1.5e-8)]
+
+
 @pytest.mark.parametrize(
     "k, grid",
-    [(2, [0.5, 0.5]), (3, [0.3, 0.3 + 1e-12]), (3, [0.3, 0.3 + 1e-14])],
-    ids=["repeat", "1e-12", "1e-14"],
+    [(2, [0.5, 0.5]), (3, [0.3, 0.3 + 1e-12]), (3, [0.3, 0.3 + 1e-14])]
+    + [(k, [u, u + d]) for k, u, d in _SWITCH_BAND],
+    ids=["repeat", "1e-12", "1e-14"] + [f"k{k}-u{u:g}-d{d:g}" for k, u, d in _SWITCH_BAND],
 )
 def test_grid_at_repeated_and_close_points(k, grid):
     # the Christoffel-Darboux quotient is NaN at a repeated point and cancels
-    # at close ones: 8.3e-6 relative at 1e-12 apart and 5.7e-3 at 1e-14 (k = 3)
+    # at close ones: 8.3e-6 relative at 1e-12 apart and 5.7e-3 at 1e-14 (k = 3).
+    # The scalar kernel takes the grid's rule, 1e-8 (1 + max(|u|, |v|)); with
+    # an absolute 1e-8 it was off by up to 3.1e-8 at 2e-8 apart (k = 1, u = 3)
     mat = gue_kernel_grid(k, grid)
     want = gue_kernel_sum(k, *grid)
     assert mat[0, 1] == mat[1, 0]
     assert abs(mat[0, 1] - want) <= 1e-12 * abs(want)
+    assert abs(gue_kernel(k, *grid) - want) <= 1e-12 * abs(want)
 
 
 def test_cauchy_against_brute_force():

@@ -615,21 +615,27 @@ def test_kernel_matrix_at_repeated_and_close_points():
     # the diagonal sum at a repeated point (the Christoffel-Darboux quotient
     # is NaN there) and the confluent sum at close points (at e = 3 and
     # n = 160 the quotient is off by up to 7e-4 relative at 1e-12 apart, on
-    # x* - 1.5 to x* + 0.5); kernel() takes its entry of the matrix
+    # x* - 1.5 to x* + 0.5); kernel() takes its entry of the matrix. In the
+    # window's tail a confluent sum scaled once by exp(L_x + L_y) underflows
+    # block by block: 5.4e-7 relative off at n = 640, x = -2.385
     from rmtlab.orthopoly import _kernel_confluent
 
-    table = _scaled_table(3.0, 160, 1.0)
-    x = detect_singular(table.potential) + 0.05
-    pts = np.array([x, 0.5, x, x + 1e-12, x + 1e-10])
-    K = kernel_matrix(table, pts)
-    diag = kernel_diagonal(table, pts)
-    assert np.all(np.isfinite(K))
-    assert K[0, 2] == K[2, 0] == K[0, 0] == K[2, 2] == diag[0] == kernel(table, x, x)
-    for i, j in ((0, 3), (3, 0), (0, 4), (4, 3)):
-        want = _kernel_confluent(table, pts[i], pts[j])
-        assert abs(K[i, j] - want) <= 1e-12 * abs(want)
-        assert kernel(table, pts[i], pts[j]) == K[i, j]
-    assert K[0, 1] == kernel(table, x, 0.5)  # far pairs keep the quotient
+    for n, x in ((160, None), (640, -2.385)):
+        table = _scaled_table(3.0, n, 1.0)
+        x = detect_singular(table.potential) + 0.05 if x is None else x
+        pts = np.array([x, 0.5, x, x + 1e-12, x + 1e-10])
+        K = kernel_matrix(table, pts)
+        diag = kernel_diagonal(table, pts)
+        assert np.all(np.isfinite(K))
+        assert K[0, 2] == K[2, 0] == K[0, 0] == K[2, 2] == diag[0] == kernel(table, x, x)
+        assert abs(_kernel_confluent(table, x, x) - diag[0]) <= 1e-13 * diag[0]
+        for i, j in ((0, 3), (3, 0), (0, 4), (4, 3)):
+            psi = _psi_per_degree(table, pts[[i, j]], n - 1)
+            want = float(psi[:, 0] @ psi[:, 1])
+            assert abs(K[i, j] - want) <= 1e-13 * abs(want)
+            assert K[i, j] == _kernel_confluent(table, pts[j], pts[i])  # the same bits swapped
+            assert kernel(table, pts[i], pts[j]) == K[i, j]
+        assert K[0, 1] == kernel(table, x, 0.5)  # far pairs keep the quotient
 
 
 @pytest.mark.parametrize("x, y", [(np.nan, 0.1), (0.1, np.nan), (np.nan, np.nan)])
